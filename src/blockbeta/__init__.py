@@ -9,7 +9,6 @@ behind those predictions by independent numeric routes.
 
 from .core import (
     BetaParams,
-    BlockPoint,
     BlockStructure,
     RatePrediction,
     contains,
@@ -29,7 +28,6 @@ from .sampler import (
 )
 from .hull import (
     DegenerateInput,
-    Facet,
     HullResult,
     brute_force_facets,
     contains_point,

@@ -9,9 +9,10 @@ Subcommands:
 
 A run is configured by a single JSON document and writes a record
 directory containing raw.csv (one row per hull) plus record.json
-(config, hash, aggregates).  Replications are tied to named random
-streams derived from (root_seed, task index), so output is
-byte-identical for any worker count.
+(config, hash, aggregates).  Every replication goes through
+replicate, which draws from the named random stream (root_seed,
+stream index), so output is byte-identical for any worker count.
+verify runs the suites of the SUITES registry.
 """
 
 from __future__ import annotations
@@ -26,43 +27,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import special, stats
 
 from . import __version__
-from .asymptotics import (
-    AwConfig,
-    InsufficientSpan,
-    aw_asymptotic,
-    aw_integral_numeric,
-    efron_check,
-    fit_rate,
-)
+from .asymptotics import InsufficientSpan, efron_check, fit_rate, verify_aw
 from .core import BetaParams, BlockStructure, RatePrediction, predict_rate, volume_deficit_rate
-from .hull import (
-    convex_hull,
-    euler_relation_holds,
-    f_vector,
-    lower_face_bounds_hold,
-    ridges_regular,
-    volume,
-)
+from .hull import DegenerateInput, convex_hull, f_vector, verify_hull, volume
 from .metacube import (
     verify_blaschke_petkantschin_2d,
     verify_bounds,
     verify_polyspherical,
     verify_reduction,
 )
-from .report import Check, Report
-from .sampler import (
-    BetaBallLaw,
-    RngStream,
-    container_volume,
-    sample_beta_ball,
-    sample_block_beta,
-)
+from .sampler import RngStream, container_volume, sample_block_beta, verify_sampler
 
 DEFAULT_BUDGET = 1e9          # sum over the grid of n * reps * d!
 RETRY_STRIDE = 2 ** 40        # substream offset when a degenerate draw retries
@@ -188,28 +168,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _run_task(args) -> tuple:
-    """One replication: sample, hull, measure.  Top level for pickling."""
-    (dims, betas, n, i_n, rep, root_seed, base_index, want_volume) = args
-    bs = BlockStructure(dims)
-    bp = BetaParams(betas)
+def replicate(bs: BlockStructure, bp: BetaParams, n: int, root_seed: int,
+              stream_index: int, want_volume: bool = False):
+    """One replication: sample n points, hull them, measure.
+
+    Returns (f_vector, volume deficit or None, stream index drawn from).
+    A degenerate draw retries on stream_index + RETRY_STRIDE, up to
+    MAX_RETRIES times; any other error propagates.
+    """
     last_exc = None
     for attempt in range(MAX_RETRIES + 1):
-        stream_index = base_index + attempt * RETRY_STRIDE
-        gen = RngStream(root_seed, stream_index).generator()
-        pts = sample_block_beta(bs, bp, gen, size=n)
+        stream = stream_index + attempt * RETRY_STRIDE
+        pts = sample_block_beta(bs, bp, RngStream(root_seed, stream), size=n)
         try:
             hull = convex_hull(pts)
-        except Exception as exc:        # degenerate draw: fresh substream
+        except DegenerateInput as exc:  # fresh substream
             last_exc = exc
             continue
-        fv = f_vector(hull)
-        deficit = None
-        if want_volume:
-            deficit = 1.0 - volume(hull) / container_volume(bs)
-        return (i_n, rep, fv, deficit, stream_index)
+        deficit = 1.0 - volume(hull) / container_volume(bs) if want_volume else None
+        return f_vector(hull), deficit, stream
     raise RuntimeError(
-        f"run (n={n}, rep={rep}) failed after {MAX_RETRIES + 1} attempts"
+        f"replication (n={n}, stream {stream_index}) failed after "
+        f"{MAX_RETRIES + 1} attempts"
     ) from last_exc
 
 
@@ -223,80 +203,43 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
             "raise it explicitly to proceed"
         )
     bs = config.structure()
-    d = bs.dim
-    betas_f = config.beta_params().betas
     want_volume = "volume_deficit" in config.observables
-    tasks = []
-    for i_n, n in enumerate(config.n_grid):
-        for rep in range(config.reps):
-            base = i_n * config.reps + rep
-            tasks.append((
-                config.block_dims, betas_f, n, i_n, rep,
-                config.root_seed, base, want_volume,
-            ))
+    # rows in (n, rep) order; row i_n * reps + rep draws from that stream index
+    ns = [n for n in config.n_grid for _ in range(config.reps)]
+    args = (repeat(bs), repeat(config.beta_params()), ns, repeat(config.root_seed),
+            range(len(ns)), repeat(want_volume))
 
     t0 = time.monotonic()
     if workers <= 1:
-        results = [_run_task(t) for t in tasks]
+        results = list(map(replicate, *args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=8))
+            results = list(pool.map(replicate, *args, chunksize=8))
     wall = time.monotonic() - t0
 
-    results.sort(key=lambda r: (r[0], r[1]))
-    out_dir = Path(out_dir)
-    record_dir = out_dir / config.name
+    raw = np.array([
+        [n, i % config.reps, *fv, math.nan if deficit is None else deficit, stream]
+        for i, (n, (fv, deficit, stream)) in enumerate(zip(ns, results))
+    ], dtype=float)
+    record_dir = Path(out_dir) / config.name
     record_dir.mkdir(parents=True, exist_ok=True)
 
-    header = ["n", "rep"] + [f"f_{j}" for j in range(d)] + ["volume_deficit", "seed_stream"]
+    header = ["n", "rep"] + [f"f_{j}" for j in range(bs.dim)] + ["volume_deficit", "seed_stream"]
     lines = [",".join(header)]
-    for (i_n, rep, fv, deficit, stream) in results:
-        row = [str(config.n_grid[i_n]), str(rep)]
-        row += [str(int(f)) for f in fv]
-        row.append(_fmt(deficit) if deficit is not None else "")
-        row.append(str(stream))
-        lines.append(",".join(row))
+    # integer cells print as integers under %.17g; an absent deficit stays empty
+    lines += [",".join("" if math.isnan(x) else _fmt(x) for x in row) for row in raw]
     (record_dir / "raw.csv").write_text("\n".join(lines) + "\n")
 
-    aggregates = _aggregate(config, results)
     record = {
         "config": config.canonical(),
         "config_hash": config.config_hash(),
         "version": __version__,
         "wall_seconds": wall,
         "csv": "raw.csv",
-        "aggregates": aggregates,
+        "aggregates": recompute_aggregates(config, raw),
     }
     (record_dir / "record.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record_dir
-
-
-def _aggregate(config: ExperimentConfig, results) -> dict:
-    d = sum(config.block_dims)
-    out = {"n": list(config.n_grid)}
-    by_n = {i: [r for r in results if r[0] == i] for i in range(len(config.n_grid))}
-
-    def mean_se(values):
-        arr = np.asarray(values, dtype=float)
-        mean = float(arr.mean())
-        se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        return mean, se
-
-    for j in range(d):
-        means, ses = [], []
-        for i in range(len(config.n_grid)):
-            m, s = mean_se([r[2][j] for r in by_n[i]])
-            means.append(m)
-            ses.append(s)
-        out[f"f_{j}"] = {"mean": means, "se": ses}
-    if "volume_deficit" in config.observables:
-        means, ses = [], []
-        for i in range(len(config.n_grid)):
-            m, s = mean_se([r[3] for r in by_n[i]])
-            means.append(m)
-            ses.append(s)
-        out["volume_deficit"] = {"mean": means, "se": ses}
-    return out
 
 
 def load_record(record_dir) -> tuple[ExperimentConfig, dict, np.ndarray]:
@@ -305,6 +248,12 @@ def load_record(record_dir) -> tuple[ExperimentConfig, dict, np.ndarray]:
     record = json.loads((record_dir / "record.json").read_text())
     config = ExperimentConfig.from_dict(record["config"])
     raw = _read_csv(record_dir / record.get("csv", "raw.csv"))
+    # recompute_aggregates reads the rows by position
+    if len(raw) != len(config.n_grid) * config.reps:
+        raise ConfigError(
+            f"record {record_dir} has {len(raw)} data rows, its config asks for "
+            f"{len(config.n_grid) * config.reps}"
+        )
     return config, record, raw
 
 
@@ -321,17 +270,28 @@ def _read_csv(path) -> np.ndarray:
     return arr
 
 
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return mean, se
+
+
 def recompute_aggregates(config: ExperimentConfig, raw: np.ndarray) -> dict:
-    """Aggregates from raw rows; bit-identical to the recorded ones."""
+    """Per-n mean and standard error of every observable column.
+
+    raw holds the rows of raw.csv in (n, rep) order, as simulate writes
+    them, with NaN for an absent volume deficit.
+    """
     d = sum(config.block_dims)
-    results = []
-    n_to_index = {n: i for i, n in enumerate(config.n_grid)}
-    for row in raw:
-        i_n = n_to_index[int(row[0])]
-        fv = tuple(int(x) for x in row[2:2 + d])
-        deficit = None if math.isnan(row[2 + d]) else float(row[2 + d])
-        results.append((i_n, int(row[1]), fv, deficit, int(row[3 + d])))
-    return _aggregate(config, results)
+    keys = [f"f_{j}" for j in range(d)]
+    if "volume_deficit" in config.observables:
+        keys.append("volume_deficit")
+    out = {"n": list(config.n_grid)}
+    for col, key in enumerate(keys, start=2):
+        per_n = np.ascontiguousarray(raw[:, col]).reshape(len(config.n_grid), config.reps)
+        pairs = [_mean_se(values) for values in per_n]
+        out[key] = {"mean": [m for m, _ in pairs], "se": [s for _, s in pairs]}
+    return out
 
 
 # ---------------------------------------------------------------- commands
@@ -418,129 +378,42 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _verify_sampler(seed: int, n_samples: int) -> Report:
-    """Radial law and projection property via Kolmogorov-Smirnov."""
-    rep = Report(title="sampler laws")
-    gen = RngStream(seed, 0).generator()
-    for k in (1, 2, 3, 4):
-        for beta in (0.0, 0.5, 2.0):
-            pts = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
-            tsq = np.sum(pts ** 2, axis=1)
-            res = stats.kstest(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
-            rep.add(Check(
-                name=f"radial_law[k={k},beta={beta}]",
-                value=res.statistic, reference=0.0,
-                stat_name="p", stat=res.pvalue, passed=res.pvalue > 0.01,
-            ))
-    # projecting the uniform ball law down k dimensions matches beta=(gap)/2
-    for k, full in ((2, 4), (3, 5)):
-        beta = (full - k) / 2.0
-        direct = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
-        lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
-        r1 = np.linalg.norm(direct, axis=1)
-        r2 = np.linalg.norm(lifted[:, :k], axis=1)
-        res = stats.ks_2samp(r1, r2)
-        rep.add(Check(
-            name=f"projection[k={k},from={full}]",
-            value=res.statistic, reference=0.0,
-            stat_name="p", stat=res.pvalue, passed=res.pvalue > 0.01,
-        ))
-    return rep
-
-
-def _verify_hull(seed: int, trials: int) -> Report:
-    rep = Report(title="hull combinatorics")
-    gen = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(trials):
-        d = int(gen.integers(2, 7))
-        n = int(gen.integers(d + 2, 120))
-        pts = gen.standard_normal((n, d))
-        hull = convex_hull(pts)
-        fv = f_vector(hull)
-        if not (euler_relation_holds(fv) and ridges_regular(hull)
-                and lower_face_bounds_hold(fv)):
-            bad += 1
-    rep.add(Check(
-        name=f"euler+ridges+face_bounds[{trials} hulls]",
-        value=trials - bad, reference=trials,
-        stat_name="failures", stat=bad, passed=bad == 0,
-    ))
-    return rep
-
-
-def _verify_aw(n: float) -> Report:
-    """Numeric/asymptotic ratios against their known approach rates.
-
-    Distinct exponents converge at a power of n, so the ratio sits at 1.
-    A tie at the bottom drifts like 1 - c2/ln n with c2 = psi(a_min + 1)
-    plus 1/(a_i - a_min) for each untied exponent above (digamma from
-    integrating t^a ln t, the reciprocal gaps from the outer coordinates'
-    constant modes); the checks compare against that corrected value.
-    """
-    rep = Report(title=f"boundary-layer integral ratios at n={n:g}")
-    gamma = 0.5772156649015329
-    cases = [
-        (AwConfig(1, 0.0, (2.0,)), 0.0),
-        (AwConfig(2, 0.0, (2.0, 1.0)), 0.0),
-        (AwConfig(3, 0.0, (3.0, 2.0, 1.0)), 0.0),
-        (AwConfig(2, 0.0, (1.0, 1.0)), 1.0 - gamma),            # psi(2)
-        (AwConfig(3, 0.0, (3.0, 2.0, 2.0)), 1.5 - gamma + 1.0),  # psi(3) + 1/(3-2)
-    ]
-    for cfg, c2 in cases:
-        ratio = aw_integral_numeric(cfg, n) / aw_asymptotic(cfg, n)
-        ref = 1.0 - c2 / math.log(n)
-        rep.add(Check(
-            name=f"ratio[a={cfg.a}]", value=ratio, reference=ref,
-            stat_name="|ratio-ref|", stat=abs(ratio - ref),
-            passed=abs(ratio - ref) <= 0.01,
-        ))
-    return rep
+# name -> (seed, trials, samples) -> reports; "verify --suite all" runs them
+# in this order
+SUITES = {
+    "sampler": lambda seed, trials, samples: [verify_sampler(seed, samples)],
+    "hull": lambda seed, trials, samples: [verify_hull(seed, trials)],
+    "reduction": lambda seed, trials, samples: [verify_reduction(
+        BlockStructure((2, 1)), BetaParams.uniform(2), trials=max(4, trials // 25),
+        n_samples=samples, rng=RngStream(seed, 1),
+    )],
+    "polyspherical": lambda seed, trials, samples: [
+        verify_polyspherical(BlockStructure((2, 1)), fn, n_samples=samples,
+                             rng=RngStream(seed, 2))
+        for fn in ("one", "first_block_sq", "exp_first")
+    ],
+    "bp2d": lambda seed, trials, samples: [
+        verify_blaschke_petkantschin_2d(fn, n_samples=samples, rng=RngStream(seed, 3))
+        for fn in ("square", "disk", "gauss_diff")
+    ],
+    "bounds": lambda seed, trials, samples: [
+        verify_bounds(1, (0.0,)), verify_bounds(2, (0.5, 0.5)),
+    ],
+    "aw": lambda seed, trials, samples: [verify_aw(1e6)],
+    "efron": lambda seed, trials, samples: [efron_check(
+        BlockStructure((2, 1)), n=100, reps=max(20, trials // 10),
+        rng=RngStream(seed, 4),
+    )],
+}
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed
-    suites: list[Report] = []
-    name = args.suite
-    if name in ("sampler", "all"):
-        suites.append(_verify_sampler(seed, args.samples))
-    if name in ("hull", "all"):
-        suites.append(_verify_hull(seed, args.trials))
-    if name in ("reduction", "all"):
-        bs = BlockStructure((2, 1))
-        suites.append(verify_reduction(
-            bs, BetaParams.uniform(2), trials=max(4, args.trials // 25),
-            n_samples=args.samples, rng=RngStream(seed, 1),
-        ))
-    if name in ("polyspherical", "all"):
-        for fn in ("one", "first_block_sq", "exp_first"):
-            suites.append(verify_polyspherical(
-                BlockStructure((2, 1)), fn, n_samples=args.samples,
-                rng=RngStream(seed, 2),
-            ))
-    if name in ("bp2d", "all"):
-        for fn in ("square", "disk", "gauss_diff"):
-            suites.append(verify_blaschke_petkantschin_2d(
-                fn, n_samples=args.samples, rng=RngStream(seed, 3),
-            ))
-    if name in ("bounds", "all"):
-        suites.append(verify_bounds(1, (0.0,)))
-        suites.append(verify_bounds(2, (0.5, 0.5)))
-    if name in ("aw", "all"):
-        suites.append(_verify_aw(1e6))
-    if name in ("efron", "all"):
-        suites.append(efron_check(
-            BlockStructure((2, 1)), n=100, reps=max(20, args.trials // 10),
-            rng=RngStream(seed, 4),
-        ))
-    if not suites:
-        print(f"unknown suite {name!r}", file=sys.stderr)
-        return 2
-    ok = True
-    for rep in suites:
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = [rep for name in names
+               for rep in SUITES[name](args.seed, args.trials, args.samples)]
+    for rep in reports:
         print(rep)
-        ok = ok and rep.passed
-    return 0 if ok else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_plot(args) -> int:
@@ -550,8 +423,6 @@ def _cmd_plot(args) -> int:
     for record_dir in args.record:
         config, record, raw = load_record(record_dir)
         agg = record["aggregates"]
-        if raw.shape[0] == 0:
-            raise ConfigError(f"record {record_dir} has no data rows")
         ns = np.asarray(agg["n"], dtype=float)
         mean = np.asarray(agg["f_0"]["mean"], dtype=float)
         se = np.asarray(agg["f_0"]["se"], dtype=float)
@@ -595,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     out_default = os.environ.get("BLOCKBETA_OUT", "out")
 
-    p = sub.add_parser("simulate", help="run an experiment from a JSON config")
+    p = sub.add_parser("simulate", help="run an experiment from a JSON config",
+                       allow_abbrev=False)
     p.add_argument("--config", required=True, help="path to the JSON config")
     p.add_argument("--out", default=out_default, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override root_seed")
@@ -604,28 +476,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace the default cost budget")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit growth exponents from a record")
+    p = sub.add_parser("fit", help="fit growth exponents from a record",
+                       allow_abbrev=False)
     p.add_argument("--record", required=True, help="record directory")
     p.add_argument("--observable", default="f_0")
     p.add_argument("--log-power", default="auto",
                    help="'auto' (predicted) or an integer override")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("verify", help="run numeric cross-checks")
-    p.add_argument("--suite", default="all",
-                   choices=["sampler", "hull", "reduction", "polyspherical",
-                            "bp2d", "bounds", "aw", "efron", "all"])
+    p = sub.add_parser("verify", help="run numeric cross-checks", allow_abbrev=False)
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--samples", type=int, default=200_000)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("predict", help="print the predicted growth law")
+    p = sub.add_parser("predict", help="print the predicted growth law",
+                       allow_abbrev=False)
     p.add_argument("--dims", required=True, help="comma-separated block dimensions")
     p.add_argument("--betas", default="", help="comma-separated weights (fractions ok)")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("plot", help="emit a gnuplot script for records")
+    p = sub.add_parser("plot", help="emit a gnuplot script for records",
+                       allow_abbrev=False)
     p.add_argument("--record", nargs="+", required=True)
     p.add_argument("--out-script", default="plot.gp")
     p.set_defaults(func=_cmd_plot)

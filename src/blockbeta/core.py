@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -87,31 +86,6 @@ class BetaParams:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(b) for b in self.betas)
-
-
-@dataclass(eq=False)
-class BlockPoint:
-    """A point of R^d together with its block decomposition."""
-
-    structure: BlockStructure
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.shape != (self.structure.dim,):
-            raise ValueError(
-                f"expected shape ({self.structure.dim},), got {self.coords.shape}"
-            )
-
-    def block(self, i: int) -> np.ndarray:
-        off = self.structure.offsets[i]
-        return self.coords[off:off + self.structure.dims[i]]
-
-    def blocks(self) -> list[np.ndarray]:
-        return self.structure.split(self.coords)
-
-    def norm(self) -> float:
-        return float(norm(self.structure, self.coords))
 
 
 @dataclass(frozen=True)

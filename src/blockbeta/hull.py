@@ -10,13 +10,15 @@ coning simplices from an interior point, and membership tests.
 brute_force_facets is an independent oracle: it enumerates all d-point
 subsets and keeps those whose hyperplane has every remaining point
 strictly on one side, decided by the exact orientation predicate.  It
-shares no hull code with the qhull path.
+shares no hull code with the qhull path.  verify_hull holds qhull's
+output on random clouds to the Euler relation, ridge regularity and
+the lower face-count bounds, each an independent counting check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +26,7 @@ from scipy.spatial import ConvexHull as _QhullConvexHull
 from scipy.spatial import QhullError
 
 from .predicates import orientation
+from .report import Check, Report
 
 DEDUP_DECIMALS = 12          # points equal after rounding here are merged
 CONTAINS_TOL = 1e-9
@@ -35,15 +38,6 @@ class DegenerateInput(ValueError):
 
 
 @dataclass(eq=False)
-class Facet:
-    """One simplicial facet: vertex ids index the caller's point cloud."""
-
-    vertex_ids: tuple[int, ...]
-    normal: np.ndarray
-    offset: float
-
-
-@dataclass(eq=False)
 class HullResult:
     points: np.ndarray                # the original input cloud
     dim: int
@@ -52,13 +46,6 @@ class HullResult:
     normals: np.ndarray               # (nfacets, d) unit outward
     offsets: np.ndarray               # facet plane is {x . normal = offset}
     interior_point: np.ndarray
-
-    @property
-    def facets(self) -> list[Facet]:
-        return [
-            Facet(tuple(int(i) for i in vs), n, float(off))
-            for vs, n, off in zip(self.facet_vertices, self.normals, self.offsets)
-        ]
 
 
 def _dedup(pts: np.ndarray) -> np.ndarray:
@@ -215,18 +202,6 @@ def lower_face_bounds_hold(face_counts: tuple[int, ...]) -> bool:
     )
 
 
-def read_points(path) -> np.ndarray:
-    """Read a point cloud: whitespace-separated, one point per line."""
-    return np.loadtxt(path, ndmin=2)
-
-
-def write_facets(path, hull: HullResult) -> None:
-    """Write facets as vertex-id lists, one facet per line."""
-    with open(path, "w") as fh:
-        for row in hull.facet_vertices:
-            fh.write(" ".join(str(int(i)) for i in row) + "\n")
-
-
 def brute_force_facets(points) -> list[tuple[int, ...]]:
     """All facets of the hull by exhaustive search, exact arithmetic.
 
@@ -261,3 +236,26 @@ def brute_force_facets(points) -> list[tuple[int, ...]]:
         if ok and side != 0:
             facets.append(tuple(sorted(subset)))
     return facets
+
+
+def verify_hull(seed: int, trials: int) -> Report:
+    """Euler relation, ridge regularity and lower face bounds on random
+    Gaussian clouds in dimensions 2..6."""
+    rep = Report(title="hull combinatorics")
+    gen = np.random.default_rng(seed)
+    bad = 0
+    for _ in range(trials):
+        d = int(gen.integers(2, 7))
+        n = int(gen.integers(d + 2, 120))
+        pts = gen.standard_normal((n, d))
+        hull = convex_hull(pts)
+        fv = f_vector(hull)
+        if not (euler_relation_holds(fv) and ridges_regular(hull)
+                and lower_face_bounds_hold(fv)):
+            bad += 1
+    rep.add(Check(
+        name=f"euler+ridges+face_bounds[{trials} hulls]",
+        value=trials - bad, reference=trials,
+        stat_name="failures", stat=bad, passed=bad == 0,
+    ))
+    return rep

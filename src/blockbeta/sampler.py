@@ -14,6 +14,9 @@ Reproducibility contract: a stream is identified by (root_seed,
 stream_index); equal identifiers give bit-identical draws.  Within one
 generator the draw order is fixed (directions first, then radii, block
 by block), so vectorized and repeated calls stay deterministic.
+
+verify_sampler holds the radial law and the projection property to
+Kolmogorov-Smirnov tests.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import special, stats
 
 from .core import BetaParams, BlockStructure, block_norms
+from .report import Check, Report
 
 
 @dataclass(frozen=True)
@@ -131,3 +135,33 @@ def density(bs: BlockStructure, bp: BetaParams, x) -> np.ndarray:
     )
     out = consts * np.prod(factors, axis=-1)
     return np.where(inside, out, 0.0)
+
+
+def verify_sampler(seed: int, n_samples: int) -> Report:
+    """Radial law and projection property via Kolmogorov-Smirnov."""
+    rep = Report(title="sampler laws")
+    gen = RngStream(seed, 0).generator()
+    for k in (1, 2, 3, 4):
+        for beta in (0.0, 0.5, 2.0):
+            pts = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
+            tsq = np.sum(pts ** 2, axis=1)
+            res = stats.kstest(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
+            rep.add(Check(
+                name=f"radial_law[k={k},beta={beta}]",
+                value=res.statistic, reference=0.0,
+                stat_name="p", stat=res.pvalue, passed=res.pvalue > 0.01,
+            ))
+    # projecting the uniform ball law down k dimensions matches beta=(gap)/2
+    for k, full in ((2, 4), (3, 5)):
+        beta = (full - k) / 2.0
+        direct = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
+        lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
+        r1 = np.linalg.norm(direct, axis=1)
+        r2 = np.linalg.norm(lifted[:, :k], axis=1)
+        res = stats.ks_2samp(r1, r2)
+        rep.add(Check(
+            name=f"projection[k={k},from={full}]",
+            value=res.statistic, reference=0.0,
+            stat_name="p", stat=res.pvalue, passed=res.pvalue > 0.01,
+        ))
+    return rep

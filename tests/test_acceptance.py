@@ -22,7 +22,7 @@ from blockbeta.asymptotics import (
     efron_check,
     fit_rate,
 )
-from blockbeta.cli import ExperimentConfig, default_n_grid, simulate
+from blockbeta.cli import ExperimentConfig, default_n_grid, replicate, simulate
 from blockbeta.core import BlockStructure, BetaParams, predict_rate
 from blockbeta.hull import (
     brute_force_facets,
@@ -33,7 +33,7 @@ from blockbeta.hull import (
     ridges_regular,
 )
 from blockbeta.metacube import verify_bounds, verify_reduction
-from blockbeta.sampler import BetaBallLaw, RngStream, sample_beta_ball, sample_block_beta
+from blockbeta.sampler import BetaBallLaw, RngStream, sample_beta_ball
 
 
 def _verdict(tag: str, ok: bool, detail: str = "") -> None:
@@ -192,12 +192,11 @@ def _fit_f0(dims, root_seed: int, container_index: int):
     pred = predict_rate(bs, bp)
     rows = []
     for i_n, n in enumerate(GRID):
-        vals = []
-        for rep in range(REPS):
-            gen = RngStream(root_seed, (container_index * len(GRID) + i_n) * REPS + rep).generator()
-            pts = sample_block_beta(bs, bp, gen, size=n)
-            vals.append(f_vector(convex_hull(pts))[0])
-        v = np.asarray(vals, dtype=float)
+        base = (container_index * len(GRID) + i_n) * REPS
+        v = np.asarray(
+            [replicate(bs, bp, n, root_seed, base + rep)[0][0] for rep in range(REPS)],
+            dtype=float,
+        )
         rows.append((float(n), v.mean(), v.std(ddof=1) / math.sqrt(REPS)))
     fit = fit_rate(np.asarray(rows), pred, model="fixed")
     return pred, fit, np.asarray(rows)

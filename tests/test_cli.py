@@ -1,20 +1,25 @@
 import json
 from fractions import Fraction
-from pathlib import Path
 
-import numpy as np
 import pytest
 
+import blockbeta.cli as cli
 from blockbeta.cli import (
+    RETRY_STRIDE,
+    SUITES,
     BudgetExceeded,
     ConfigError,
     ExperimentConfig,
+    build_parser,
     default_n_grid,
     load_record,
     main,
     recompute_aggregates,
+    replicate,
     simulate,
 )
+from blockbeta.core import BetaParams, BlockStructure
+from blockbeta.hull import DegenerateInput
 
 
 def make_config(**overrides):
@@ -124,6 +129,46 @@ def test_recompute_aggregates_matches_record(tmp_path):
     assert again == record["aggregates"]
 
 
+def test_replicate_retries_a_degenerate_draw_on_the_next_substream(monkeypatch):
+    bs, bp = BlockStructure((2, 1)), BetaParams.uniform(2)
+    real_hull = cli.convex_hull
+    calls = []
+
+    def degenerate_once(pts):
+        calls.append(len(pts))
+        if len(calls) == 1:
+            raise DegenerateInput("forced")
+        return real_hull(pts)
+
+    monkeypatch.setattr(cli, "convex_hull", degenerate_once)
+    got = replicate(bs, bp, 20, 5, 7, want_volume=True)
+    assert calls == [20, 20]
+    assert got[2] == 7 + RETRY_STRIDE
+    monkeypatch.undo()
+    assert got == replicate(bs, bp, 20, 5, 7 + RETRY_STRIDE, want_volume=True)
+
+
+def test_replicate_does_not_retry_other_errors(monkeypatch):
+    calls = []
+
+    def broken(pts):
+        calls.append(len(pts))
+        raise RuntimeError("hull bug")
+
+    monkeypatch.setattr(cli, "convex_hull", broken)
+    with pytest.raises(RuntimeError, match="hull bug"):
+        replicate(BlockStructure((2, 1)), BetaParams.uniform(2), 20, 5, 7)
+    assert calls == [20]
+
+
+def test_load_record_rejects_missing_rows(tmp_path):
+    record_dir = simulate(make_config(), tmp_path)
+    csv = record_dir / "raw.csv"
+    csv.write_text("\n".join(csv.read_text().split("\n")[:-2]) + "\n")
+    with pytest.raises(ConfigError, match="3 data rows"):
+        load_record(record_dir)
+
+
 # --- exit codes through main() ------------------------------------------
 
 
@@ -209,6 +254,23 @@ def test_main_verify_unknown_suite():
         main(["verify", "--suite", "bogus"])
 
 
+def test_verify_suite_choices_are_the_registry():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    suite = subcommands["verify"]._option_string_actions["--suite"]
+    assert suite.choices == [*SUITES, "all"]
+
+
+def test_verify_all_runs_each_suite_in_registry_order(capsys):
+    small = ["--samples", "4000", "--trials", "20"]
+    assert main(["verify", "--suite", "all", *small]) == 0
+    together = capsys.readouterr().out
+    alone = []
+    for name in SUITES:
+        assert main(["verify", "--suite", name, *small]) == 0
+        alone.append(capsys.readouterr().out)
+    assert together == "".join(alone)
+
+
 def test_main_plot(tmp_path, capsys):
     cfg = write_config(tmp_path, n_grid=[10, 30, 100], reps=2)
     out = tmp_path / "out"
@@ -225,6 +287,13 @@ def test_main_plot(tmp_path, capsys):
     rows = dat.read_text().strip().split("\n")
     assert len(rows) == 3
     assert all(len(r.split()) == 3 for r in rows)
+
+
+def test_main_plot_rejects_abbreviated_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--record", str(tmp_path), "--out", str(tmp_path / "fig")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "fig").exists()
 
 
 def test_env_out_dir_default(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from blockbeta.core import (
     BetaParams,
-    BlockPoint,
     BlockStructure,
     block_norms,
     contains,
@@ -58,15 +57,6 @@ def test_block_norms_batched():
     xs = np.array([[3.0, 0.0, 4.0], [1.0, 1.0, 0.0]])
     got = block_norms(bs, xs)
     assert np.allclose(got, [[3.0, 4.0], [1.0, 1.0]])
-
-
-def test_block_point_accessors():
-    bs = BlockStructure((2, 1))
-    p = BlockPoint(bs, [0.3, 0.4, -0.2])
-    assert np.allclose(p.block(0), [0.3, 0.4])
-    assert p.norm() == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        BlockPoint(bs, [1.0, 2.0])
 
 
 def test_beta_params_validation():

@@ -14,10 +14,8 @@ from blockbeta.hull import (
     f_vector,
     lower_face_bounds_hold,
     lower_face_coefficient,
-    read_points,
     ridges_regular,
     volume,
-    write_facets,
 )
 from blockbeta.predicates import orientation
 
@@ -101,27 +99,6 @@ def test_duplicates_merge_to_original_indices():
     hull = convex_hull(pts)
     assert set(hull.vertex_ids) == {0, 1, 2}
     assert hull.points.shape == (5, 2)
-
-
-def test_facet_dataclass_view():
-    hull = convex_hull(np.vstack([np.zeros(3), np.eye(3)]))
-    facets = hull.facets
-    assert len(facets) == 4
-    f = facets[0]
-    assert len(f.vertex_ids) == 3
-    assert f.normal.shape == (3,)
-
-
-def test_io_roundtrip(tmp_path):
-    pts = cube_points(2)
-    path = tmp_path / "cloud.txt"
-    np.savetxt(path, pts)
-    hull = convex_hull(read_points(path))
-    out = tmp_path / "facets.txt"
-    write_facets(out, hull)
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == f_vector(hull)[-1]
-    assert all(len(line.split()) == 2 for line in lines)
 
 
 # --- combinatorial invariants on random clouds -----------------------
