@@ -9,9 +9,10 @@ Subcommands:
 
 A run is configured by a single JSON document and writes a record
 directory containing raw.csv (one row per hull) plus record.json
-(config, hash, aggregates).  Every replication goes through
-replicate, which draws from the named random stream (root_seed,
-stream index), so output is byte-identical for any worker count.
+(config, hash, aggregates, retried rows per n).  Every replication
+goes through replicate, which draws from the named random stream
+(root_seed, stream index), so output is byte-identical for any worker
+count.
 verify runs the suites of the SUITES registry.
 """
 
@@ -230,6 +231,7 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
     lines += [",".join("" if math.isnan(x) else _fmt(x) for x in row) for row in raw]
     (record_dir / "raw.csv").write_text("\n".join(lines) + "\n")
 
+    retried = (raw[:, -1] >= RETRY_STRIDE).reshape(len(config.n_grid), config.reps)
     record = {
         "config": config.canonical(),
         "config_hash": config.config_hash(),
@@ -237,6 +239,8 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
         "wall_seconds": wall,
         "csv": "raw.csv",
         "aggregates": recompute_aggregates(config, raw),
+        # rows per n drawn from a retry substream
+        "retries": {"n": list(config.n_grid), "rows": [int(k) for k in retried.sum(axis=1)]},
     }
     (record_dir / "record.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record_dir
@@ -340,12 +344,13 @@ def _fit_observable(config, raw, observable: str, log_power: str):
     ], axis=1)
     fixed = fit_rate(data, predicted, model="fixed")
     free = fit_rate(data, predicted, model="free")
-    return predicted, fixed, free
+    return predicted, fixed, free, data
 
 
 def _cmd_fit(args) -> int:
     config, _, raw = load_record(args.record)
-    predicted, fixed, free = _fit_observable(config, raw, args.observable, args.log_power)
+    predicted, fixed, free, data = _fit_observable(config, raw, args.observable,
+                                                   args.log_power)
     print(f"record: {args.record}")
     print(f"observable: {args.observable}")
     print(
@@ -360,6 +365,10 @@ def _cmd_fit(args) -> int:
         f"fitted (free): exponent={free.exponent:.6g} +- {free.exponent_se:.2g} "
         f"loglog_coeff={free.log_power:.3g} r2={free.r_squared:.5f}"
     )
+    # log-log slope of the mean between adjacent grid points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.diff(np.log(data[:, 1])) / np.diff(np.log(data[:, 0]))
+    print("local slopes: " + " ".join(f"{x:.4g}" for x in slopes))
     return 0
 
 
@@ -516,6 +525,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:           # a crash, not a verdict: keep it off 1
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ index map back to the caller's cloud, degeneracy detection, the face
 counts f_0..f_{d-1} recovered from the simplicial facet list, volume by
 coning simplices from an interior point, and membership tests.
 
+Faces are counted on 1-D integer keys.  The facet vertex ids are
+first renumbered to [0, f_0); each k-subset of a facet row is then
+packed into one int64 key in base f_0, the keys are sorted, and
+distinct faces are the positions where adjacent keys differ.  When
+f_0**k does not fit in 63 bits the k-subsets are sorted as rows with
+np.lexsort and compared row by row instead.  Dedup sorts the rounded
+points as opaque byte strings (a void view), one key per point.
+
 brute_force_facets is an independent oracle: it enumerates all d-point
 subsets and keeps those whose hyperplane has every remaining point
 strictly on one side, decided by the exact orientation predicate.  It
@@ -50,9 +58,11 @@ class HullResult:
 
 def _dedup(pts: np.ndarray) -> np.ndarray:
     """Indices of representatives after merging near-duplicates."""
-    keys = np.round(pts, DEDUP_DECIMALS)
-    # +0.0 normalizes -0.0 so the rounding key is sign-stable
-    _, first = np.unique(keys + 0.0, axis=0, return_index=True)
+    # +0.0 normalizes -0.0 so the rounding key is sign-stable; with no
+    # -0.0 and no NaN, equal bytes are equal floats
+    keys = np.ascontiguousarray(np.round(pts, DEDUP_DECIMALS) + 0.0)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
     return np.sort(first)
 
 
@@ -122,27 +132,59 @@ def convex_hull(points) -> HullResult:
     )
 
 
+def _compress(fv: np.ndarray) -> tuple[np.ndarray, int]:
+    """Vertex ids renumbered to [0, f_0), in place of each entry, and f_0.
+
+    Renumbering keeps the order of ids, so sorted rows stay sorted.
+    """
+    uniq, inverse = np.unique(fv, return_inverse=True)
+    return inverse.reshape(fv.shape), len(uniq)
+
+
+def _subset_multiplicities(ids: np.ndarray, base: int, size: int) -> np.ndarray:
+    """How often each distinct size-subset of the rows of ids occurs.
+
+    A subset is the tuple of entries at columns i_1 < ... < i_size of
+    one row; ids lie in [0, base).  Returns one count per distinct
+    subset, in sorted order.
+    """
+    if len(ids) == 0:
+        return np.zeros(0, dtype=np.int64)
+    cols = list(combinations(range(ids.shape[1]), size))
+    if base ** size < 2 ** 63:
+        keys = np.zeros((len(ids), len(cols)), dtype=np.int64)
+        for j in range(size):
+            keys = keys * base + ids[:, [c[j] for c in cols]]
+        keys = np.sort(keys, axis=None)
+        new = keys[1:] != keys[:-1]
+    else:                              # packed keys would overflow int64
+        rows = ids[:, cols].reshape(-1, size)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        new = np.any(rows[1:] != rows[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return np.diff(starts, append=len(new) + 1)
+
+
 def f_vector(hull: HullResult) -> tuple[int, ...]:
     """Face counts (f_0, ..., f_{d-1}).
 
     Every j-face of a simplicial polytope is a (j+1)-subset of some
     facet's vertex set, and conversely, so counting distinct subsets
-    per size gives the full vector.
+    per size gives the full vector.  f_0 is the number of distinct ids
+    and f_{d-1} the number of facet rows.  For 2 <= k <= d-1 each
+    k-subset of a (sorted) facet row becomes one int64 key in base f_0
+    after the ids are renumbered to [0, f_0); f_{k-1} is the number of
+    distinct keys, found by sorting them and counting adjacent
+    differences.  Where f_0**k >= 2**63 the subsets are sorted as rows
+    with np.lexsort and compared row by row instead.
     """
     d = hull.dim
     fv = hull.facet_vertices
-    counts = []
-    for size in range(1, d + 1):
-        if size == d:
-            counts.append(len(fv))
-            continue
-        if size == 1:
-            counts.append(len(np.unique(fv)))
-            continue
-        idx = list(combinations(range(d), size))
-        sub = fv[:, idx].reshape(-1, size)
-        counts.append(len(np.unique(sub, axis=0)))
-    return tuple(counts)
+    if d == 1:
+        return (len(fv),)
+    ids, f0 = _compress(fv)
+    inner = [len(_subset_multiplicities(ids, f0, size)) for size in range(2, d)]
+    return (f0, *inner, len(fv))
 
 
 def volume(hull: HullResult) -> float:
@@ -172,15 +214,18 @@ def euler_relation_holds(face_counts: tuple[int, ...]) -> bool:
 
 
 def ridges_regular(hull: HullResult) -> bool:
-    """Every ridge ((d-1)-face) lies in exactly two facets."""
+    """Every ridge ((d-2)-face) lies in exactly two facets.
+
+    The (d-1)-subsets of the facet rows are packed and sorted as in
+    f_vector (lexsort where f_0**(d-1) >= 2**63); every run of equal
+    keys must have length exactly 2.
+    """
     d = hull.dim
     fv = hull.facet_vertices
     if d == 1:
         return len(fv) == 2
-    idx = list(combinations(range(d), d - 1))
-    sub = fv[:, idx].reshape(-1, d - 1)
-    _, counts = np.unique(sub, axis=0, return_counts=True)
-    return bool(np.all(counts == 2))
+    ids, f0 = _compress(fv)
+    return bool(np.all(_subset_multiplicities(ids, f0, d - 1) == 2))
 
 
 def lower_face_coefficient(d: int, j: int) -> float:

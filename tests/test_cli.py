@@ -20,6 +20,7 @@ from blockbeta.cli import (
 )
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.hull import DegenerateInput
+from blockbeta.metacube import QuadratureError
 
 
 def make_config(**overrides):
@@ -129,18 +130,25 @@ def test_recompute_aggregates_matches_record(tmp_path):
     assert again == record["aggregates"]
 
 
-def test_replicate_retries_a_degenerate_draw_on_the_next_substream(monkeypatch):
-    bs, bp = BlockStructure((2, 1)), BetaParams.uniform(2)
+def degenerate_once(monkeypatch):
+    """Make the first convex_hull call in cli raise DegenerateInput; returns
+    the list of point counts the patched hull is called with."""
     real_hull = cli.convex_hull
     calls = []
 
-    def degenerate_once(pts):
+    def hull(pts):
         calls.append(len(pts))
         if len(calls) == 1:
             raise DegenerateInput("forced")
         return real_hull(pts)
 
-    monkeypatch.setattr(cli, "convex_hull", degenerate_once)
+    monkeypatch.setattr(cli, "convex_hull", hull)
+    return calls
+
+
+def test_replicate_retries_a_degenerate_draw_on_the_next_substream(monkeypatch):
+    bs, bp = BlockStructure((2, 1)), BetaParams.uniform(2)
+    calls = degenerate_once(monkeypatch)
     got = replicate(bs, bp, 20, 5, 7, want_volume=True)
     assert calls == [20, 20]
     assert got[2] == 7 + RETRY_STRIDE
@@ -159,6 +167,19 @@ def test_replicate_does_not_retry_other_errors(monkeypatch):
     with pytest.raises(RuntimeError, match="hull bug"):
         replicate(BlockStructure((2, 1)), BetaParams.uniform(2), 20, 5, 7)
     assert calls == [20]
+
+
+def test_record_counts_retried_rows_per_n(tmp_path, monkeypatch):
+    plain = json.loads((simulate(make_config(), tmp_path / "plain") / "record.json").read_text())
+    assert plain["retries"] == {"n": [20, 40], "rows": [0, 0]}
+
+    calls = degenerate_once(monkeypatch)
+    record_dir = simulate(make_config(), tmp_path / "retried")
+    assert calls[:2] == [20, 20]
+    record = json.loads((record_dir / "record.json").read_text())
+    assert record["retries"] == {"n": [20, 40], "rows": [1, 0]}
+    _, _, raw = load_record(record_dir)
+    assert raw[0, -1] == RETRY_STRIDE and (raw[1:, -1] < RETRY_STRIDE).all()
 
 
 def test_load_record_rejects_missing_rows(tmp_path):
@@ -198,6 +219,41 @@ def test_main_simulate_and_fit_exit_codes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "predicted: exponent=0" in text
     assert "fitted" in text
+
+
+def test_main_fit_prints_local_slopes_of_a_known_power_law(tmp_path, capsys):
+    # f_0 = f_1 = 3 n^0.37 in the mean, +-1% across the two reps
+    grid = [100, 300, 1000, 3000, 10_000, 30_000]
+    cfg = ExperimentConfig.from_dict(
+        {"name": "law", "block_dims": [2], "n_grid": grid, "reps": 2, "root_seed": 0}
+    )
+    record_dir = tmp_path / "law"
+    record_dir.mkdir()
+    (record_dir / "record.json").write_text(json.dumps({"config": cfg.canonical()}))
+    lines = ["n,rep,f_0,f_1,volume_deficit,seed_stream"]
+    for i, n in enumerate(grid):
+        for rep, wobble in enumerate((0.99, 1.01)):
+            f = repr(3.0 * n ** 0.37 * wobble)
+            lines.append(f"{n},{rep},{f},{f},,{2 * i + rep}")
+    (record_dir / "raw.csv").write_text("\n".join(lines) + "\n")
+
+    assert main(["fit", "--record", str(record_dir)]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[-2].startswith("fitted (free)")
+    label, _, values = out[-1].partition(": ")
+    assert label == "local slopes"
+    slopes = [float(x) for x in values.split()]
+    assert slopes == pytest.approx([0.37] * (len(grid) - 1), abs=1e-4)
+
+
+def test_main_internal_error_exits_3(monkeypatch, capsys):
+    def no_convergence(seed, trials, samples):
+        raise QuadratureError("did not converge", best=0.5, err=0.1)
+
+    monkeypatch.setitem(SUITES, "aw", no_convergence)
+    assert main(["verify", "--suite", "aw"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal: QuadratureError: did not converge\n"
 
 
 def test_main_fit_insufficient_span_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from blockbeta.hull import (
     DegenerateInput,
+    HullResult,
+    _dedup,
     brute_force_facets,
     contains_point,
     contains_points,
@@ -115,6 +119,130 @@ def test_random_hull_invariants(d):
         assert ridges_regular(hull)
         assert lower_face_bounds_hold(fv)
         assert fv[0] == len(hull.vertex_ids)
+
+
+# --- referees for the face counting and dedup -------------------------
+# Plain-Python sets and counters over the facet rows; they call no hull
+# helper, so the sorted packed-key paths are checked against an
+# independent count.
+
+
+def reference_f_vector(facet_rows, d):
+    return tuple(
+        len({frozenset(c) for row in facet_rows for c in combinations(row, k)})
+        for k in range(1, d + 1)
+    )
+
+
+def reference_ridges_regular(facet_rows, d):
+    ridges = Counter(
+        frozenset(c) for row in facet_rows for c in combinations(row, d - 1)
+    )
+    return all(count == 2 for count in ridges.values())
+
+
+def reference_first_occurrences(pts):
+    seen = set()
+    keep = []
+    for i, row in enumerate(np.round(pts, 12).tolist()):
+        key = tuple(x + 0.0 for x in row)
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_f_vector_and_ridges_match_plain_python_count(d, extra, seed):
+    pts = np.random.default_rng(seed).standard_normal((d + 1 + extra, d))
+    hull = convex_hull(pts)
+    rows = hull.facet_vertices.tolist()
+    assert f_vector(hull) == reference_f_vector(rows, d)
+    assert ridges_regular(hull) is reference_ridges_regular(rows, d) is True
+
+
+def synthetic_hull(facet_rows, d):
+    rows = np.asarray(facet_rows, dtype=np.int64)
+    return HullResult(
+        points=np.zeros((0, d)), dim=d, vertex_ids=(), facet_vertices=rows,
+        normals=np.zeros((len(rows), d)), offsets=np.zeros(len(rows)),
+        interior_point=np.zeros(d),
+    )
+
+
+def test_ridges_regular_flags_open_and_doubled_surfaces():
+    rows = convex_hull(np.random.default_rng(7).standard_normal((40, 4))).facet_vertices
+    opened = rows[1:].tolist()
+    doubled = np.vstack([rows, rows[:1]]).tolist()   # its ridges lie in 3 facets
+    for bad in (opened, doubled):
+        assert ridges_regular(synthetic_hull(bad, 4)) is False
+        assert reference_ridges_regular(bad, 4) is False
+
+
+def test_empty_facet_list_has_no_faces():
+    empty = synthetic_hull(np.zeros((0, 3)), 3)
+    assert f_vector(empty) == reference_f_vector([], 3) == (0, 0, 0)
+    assert ridges_regular(empty) is reference_ridges_regular([], 3) is True
+
+
+def test_face_counts_past_int64_packing_take_the_overflow_path():
+    # twelve disjoint boundaries of 10-simplices: every ridge lies in two
+    # facets, and 132 vertices make 132**9 overflow 63 bits
+    d = 10
+    spread = 10 ** 9                    # large, uneven raw ids
+    rows = [
+        [spread * (11 * s + v) + v for v in range(11) if v != skip]
+        for s in range(12) for skip in range(11)
+    ]
+    f0 = len({i for row in rows for i in row})
+    assert f0 ** (d - 1) >= 2 ** 63 and f0 ** (d - 2) < 2 ** 63
+    hull = synthetic_hull(rows, d)
+    assert f_vector(hull) == reference_f_vector(rows, d)
+    assert f_vector(hull) == tuple(12 * math.comb(11, k) for k in range(1, d + 1))
+    assert ridges_regular(hull) is True
+    assert ridges_regular(synthetic_hull(rows[1:], d)) is False
+
+    # random sorted rows over 300 ids: every k >= 8 overflows
+    gen = np.random.default_rng(11)
+    rows = np.sort(
+        np.stack([gen.choice(300, size=d, replace=False) for _ in range(60)]), axis=1
+    ).tolist()
+    f0 = len({i for row in rows for i in row})
+    assert f0 ** 8 >= 2 ** 63
+    hull = synthetic_hull(rows, d)
+    assert f_vector(hull) == reference_f_vector(rows, d)
+    assert ridges_regular(hull) is reference_ridges_regular(rows, d) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(2, 40), st.integers(0, 2 ** 32 - 1),
+    st.sampled_from(["exact", "near", "zeros", "flat"]),
+)
+def test_dedup_keeps_first_occurrences(d, n, seed, kind):
+    gen = np.random.default_rng(seed)
+    pts = gen.standard_normal((n, d))
+    if kind == "exact":
+        pts = np.vstack([pts, pts[gen.integers(0, n, size=n)]])
+    elif kind == "near":
+        pts = np.vstack([pts, pts + gen.uniform(-1e-13, 1e-13, size=pts.shape)])
+    elif kind == "zeros":
+        pts[gen.random(pts.shape) < 0.4] = 0.0
+        pts[gen.random(pts.shape) < 0.4] = -0.0
+        pts = np.vstack([pts, -pts, pts])
+    else:
+        pts[:, -1] = 0.5                  # flat: lies in a hyperplane
+    pts = pts[gen.permutation(len(pts))]
+    assert _dedup(pts).tolist() == reference_first_occurrences(pts)
+    if kind == "flat":                    # d = 1: a single distinct point
+        with pytest.raises(DegenerateInput):
+            convex_hull(pts)
+
+
+def test_dedup_merges_signed_zeros_and_sub_grid_offsets():
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1e-13, 1.0], [0.0, 1.0 + 4e-13], [1.0, 0.0]])
+    assert _dedup(pts).tolist() == reference_first_occurrences(pts) == [0, 4]
 
 
 def test_lower_face_coefficient_values():
