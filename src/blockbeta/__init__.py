@@ -11,9 +11,7 @@ from .core import (
     BetaParams,
     BlockStructure,
     RatePrediction,
-    contains,
     predict_rate,
-    support_function,
     volume_deficit_rate,
 )
 from .sampler import (
@@ -22,7 +20,6 @@ from .sampler import (
     ball_density_const,
     ball_volume,
     container_volume,
-    density,
     sample_beta_ball,
     sample_block_beta,
 )
@@ -30,7 +27,6 @@ from .hull import (
     DegenerateInput,
     HullResult,
     brute_force_facets,
-    contains_point,
     contains_points,
     convex_hull,
     f_vector,
@@ -39,7 +35,6 @@ from .hull import (
 from .metacube import (
     MetaCap,
     QuadratureError,
-    QuadratureSpec,
     cap_content_full_mc,
     cap_content_meta,
     incomplete_beta,

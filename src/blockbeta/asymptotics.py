@@ -255,7 +255,8 @@ def efron_check(
     bs: BlockStructure,
     n: int,
     reps: int = 200,
-    rng=None,
+    *,
+    rng,
     mc_points: int = 20_000,
 ) -> Report:
     """Mean vertex count vs the volume-ratio identity, uniform sampling.
@@ -269,7 +270,7 @@ def efron_check(
     # hull is flat) and the volume estimator has no hull to probe
     if n < bs.dim + 2:
         raise ValueError(f"need n >= d+2 = {bs.dim + 2}, got {n}")
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    gen = as_generator(rng)
     bp = BetaParams.uniform(bs.m)
     f0 = np.empty(reps)
     ratio = np.empty(reps)

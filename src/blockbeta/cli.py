@@ -19,6 +19,7 @@ verify runs the suites of the SUITES registry.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -102,26 +103,28 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "block_dims" not in raw:
             raise ConfigError("config needs block_dims")
-        dims = tuple(int(d) for d in raw["block_dims"])
-        betas = tuple(_parse_beta(b) for b in raw.get("betas", [0] * len(dims)))
+        # the conversions below raise TypeError or ValueError on input of
+        # the wrong type or shape; either is a usage error
         try:
+            dims = tuple(int(d) for d in raw["block_dims"])
+            betas = tuple(_parse_beta(b) for b in raw.get("betas", [0] * len(dims)))
             bs = BlockStructure(dims)
             bp = BetaParams(betas)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            n_grid = tuple(int(n) for n in raw.get("n_grid", default_n_grid()))
+            reps = int(raw.get("reps", 10))
+            root_seed = int(raw.get("root_seed", 0))
+            observables = tuple(raw.get("observables", ["f_vector"]))
+            bad = set(observables) - OBSERVABLES
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
         if bs.m != len(bp.betas):
             raise ConfigError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
-        n_grid = tuple(int(n) for n in raw.get("n_grid", default_n_grid()))
         if len(n_grid) == 0 or any(n < bs.dim + 1 for n in n_grid):
             raise ConfigError(f"every n must be >= d+1 = {bs.dim + 1}")
-        reps = int(raw.get("reps", 10))
         if reps < 1:
             raise ConfigError("reps must be >= 1")
-        root_seed = int(raw.get("root_seed", 0))
         if not (0 <= root_seed < 2 ** 64):
             raise ConfigError("root_seed must fit in u64")
-        observables = tuple(raw.get("observables", ["f_vector"]))
-        bad = set(observables) - OBSERVABLES
         if bad or not observables:
             raise ConfigError(f"observables must be a nonempty subset of {sorted(OBSERVABLES)}")
         cfg = cls(
@@ -130,7 +133,7 @@ class ExperimentConfig:
             name=str(raw.get("name", "")),
         )
         if not cfg.name:
-            cfg = cls(**{**cfg.__dict__, "name": "run-" + cfg.config_hash()[:12]})
+            cfg = dataclasses.replace(cfg, name="run-" + cfg.config_hash()[:12])
         return cfg
 
     def structure(self) -> BlockStructure:
@@ -246,10 +249,17 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
     return record_dir
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_record(record_dir) -> tuple[ExperimentConfig, dict, np.ndarray]:
     """Read a record directory back: (config, record dict, raw rows)."""
     record_dir = Path(record_dir)
-    record = json.loads((record_dir / "record.json").read_text())
+    record = _read_json(record_dir / "record.json")
     config = ExperimentConfig.from_dict(record["config"])
     raw = _read_csv(record_dir / record.get("csv", "raw.csv"))
     # recompute_aggregates reads the rows by position
@@ -302,8 +312,7 @@ def recompute_aggregates(config: ExperimentConfig, raw: np.ndarray) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    config = ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(_read_json(args.config))
     if args.seed is not None:
         config = ExperimentConfig.from_dict({**config.canonical(), "root_seed": args.seed})
     budget = args.budget_override if args.budget_override else DEFAULT_BUDGET
@@ -333,10 +342,13 @@ def _fit_observable(config, raw, observable: str, log_power: str):
         if key not in aggregates:
             raise ConfigError(f"record has no {key} aggregate")
     if log_power != "auto":
-        predicted = RatePrediction(
-            k=predicted.k, k_max=predicted.k_max, count_k_max=predicted.count_k_max,
-            exponent=predicted.exponent, log_power=int(log_power),
-        )
+        try:
+            power = int(log_power)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--log-power must be 'auto' or an integer, got {log_power!r}"
+            ) from exc
+        predicted = dataclasses.replace(predicted, log_power=power)
     data = np.stack([
         np.asarray(aggregates["n"], dtype=float),
         np.asarray(aggregates[key]["mean"], dtype=float),
@@ -373,11 +385,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
-    betas = tuple(_parse_beta(x) for x in args.betas.split(",")) if args.betas else (0,) * len(dims)
-    bs = BlockStructure(dims)
-    bp = BetaParams(betas)
-    pred = predict_rate(bs, bp)
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+        betas = tuple(_parse_beta(x) for x in args.betas.split(",")) if args.betas else (0,) * len(dims)
+        bs = BlockStructure(dims)
+        bp = BetaParams(betas)
+        pred = predict_rate(bs, bp)
+    except ValueError as exc:
+        raise ConfigError(f"invalid --dims or --betas: {exc}") from exc
     print(f"container: product of balls, dims={dims}, betas={betas}")
     print(f"adjusted dimensions k: {tuple(round(k, 12) for k in pred.k)}")
     print(f"facet count ~ n^{pred.exponent:.6g} * (ln n)^{pred.log_power}")

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 # Relative tolerance for k_i ties when beta weights are floats.  Exact
 # rational comparison is used whenever every weight is an int/Fraction.
 TIE_REL_TOL = 1e-12
@@ -45,21 +43,6 @@ class BlockStructure:
     @property
     def dim(self) -> int:
         return sum(self.dims)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, pos = [], 0
-        for d in self.dims:
-            out.append(pos)
-            pos += d
-        return tuple(out)
-
-    def split(self, x) -> list[np.ndarray]:
-        """Views of the m block slices of x (batch axes allowed in front)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {x.shape[-1]}")
-        return [x[..., off:off + d] for off, d in zip(self.offsets, self.dims)]
 
 
 @dataclass(frozen=True)
@@ -107,28 +90,6 @@ def _check_pair(bs: BlockStructure, bp: BetaParams):
         raise ValueError(
             f"{bs.m} blocks but {len(bp.betas)} beta weights"
         )
-
-
-def block_norms(bs: BlockStructure, x) -> np.ndarray:
-    """Euclidean norm of each block slice; shape (..., m)."""
-    return np.stack(
-        [np.linalg.norm(b, axis=-1) for b in bs.split(x)], axis=-1
-    )
-
-
-def norm(bs: BlockStructure, x) -> np.ndarray:
-    """Gauge of the ball product: max over blocks of the block norm."""
-    return block_norms(bs, x).max(axis=-1)
-
-
-def contains(bs: BlockStructure, x, tol: float = 0.0):
-    """Whether x lies in the container (every block norm <= 1 + tol)."""
-    return norm(bs, x) <= 1.0 + tol
-
-
-def support_function(bs: BlockStructure, w) -> np.ndarray:
-    """h(w) = sum_i ||w^(i)||_2, the container's support function."""
-    return block_norms(bs, w).sum(axis=-1)
 
 
 def _is_rational(b) -> bool:

@@ -195,15 +195,11 @@ def volume(hull: HullResult) -> float:
     return float(np.abs(dets).sum() / math.factorial(hull.dim))
 
 
-def contains_point(hull: HullResult, x, tol: float = CONTAINS_TOL) -> bool:
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(hull.normals @ x <= hull.offsets + tol))
-
-
-def contains_points(hull: HullResult, xs, tol: float = CONTAINS_TOL) -> np.ndarray:
-    """Vectorized membership for an (n, d) array of query points."""
+def contains_points(hull: HullResult, xs) -> np.ndarray:
+    """Membership, within CONTAINS_TOL of every facet plane, for an (n, d)
+    array of query points."""
     xs = np.asarray(xs, dtype=float)
-    return np.all(xs @ hull.normals.T <= hull.offsets + tol, axis=1)
+    return np.all(xs @ hull.normals.T <= hull.offsets + CONTAINS_TOL, axis=1)
 
 
 def euler_relation_holds(face_counts: tuple[int, ...]) -> bool:

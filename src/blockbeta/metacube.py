@@ -16,7 +16,9 @@ with the innermost coordinate in closed form through the incomplete
 beta function.  Thin caps near the corner (one_norm - s < min v_i) are
 first mapped onto the unit cube by the corner-simplex substitution
 y_i = 1 - t_i (1 - z_i) prod_{l<i} z_l, which removes the cancellation
-that direct integration of a sliver would suffer.
+that direct integration of a sliver would suffer.  The quadrature
+tolerances are module constants, the same for every call: absolute
+QUAD_ABS_TOL, relative QUAD_REL_TOL, at most QUAD_LIMIT subintervals.
 
 The verify_* functions are the numeric referees: each compares two
 independent routes (Monte Carlo vs quadrature, sphere decomposition,
@@ -37,21 +39,22 @@ from .report import Check, Report
 from .sampler import as_generator, ball_density_const, sample_block_beta
 
 ZERO_COMPONENT_TOL = 1e-14
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
+QUAD_LIMIT = 512                 # QUADPACK's cap on subintervals
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_depth: int = 9
-
-    @property
-    def limit(self) -> int:
-        # max_depth counts bisections; QUADPACK wants a subinterval cap
-        return min(2 ** self.max_depth, 512)
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# Gap grid for the order-of-magnitude bound checks.  Gaps are log-spaced
+# over BOUNDS_DECADES, topping out at BOUNDS_TOP_FRACTION of the
+# admissible range, so the grid stays in the regime where the two-sided
+# bounds have settled.
+BOUNDS_SEED = 2024
+BOUNDS_DIRECTIONS = 3
+BOUNDS_GAPS = 12
+BOUNDS_DECADES = 3.0
+BOUNDS_TOP_FRACTION = 0.05
+BOUNDS_SLOPE_TOL = 0.05
+BOUNDS_SPREAD_MAX = 1e3
+BOUNDS_MIN_COMPONENT = 0.25
 
 
 class QuadratureError(RuntimeError):
@@ -106,16 +109,16 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     return float(special.betainc(a, b, x) * math.exp(special.betaln(a, b)))
 
 
-def _quad(f, lo: float, hi: float, spec: QuadratureSpec) -> float:
+def _quad(f, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     out = integrate.quad(
         f, lo, hi,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.limit, full_output=1,
+        epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+        limit=QUAD_LIMIT, full_output=1,
     )
     y, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > 100.0 * max(spec.abs_tol, spec.rel_tol * abs(y)):
+    if len(out) > 3 and abserr > 100.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(y)):
         raise QuadratureError(str(out[3]), best=float(y), err=float(abserr))
     return float(y)
 
@@ -128,8 +131,7 @@ def _weight_integral(beta: float, lo: float) -> float:
     return 2.0 * 4.0 ** beta * incomplete_beta(beta + 1.0, beta + 1.0, (1.0 - lo) / 2.0)
 
 
-def _cap_general(v, s, betas, spec) -> float:
-    m = len(v)
+def _cap_general(v, s, betas) -> float:
     consts = [ball_density_const(1, b) for b in betas]
     order = np.argsort(v)          # innermost = largest component
     inner = int(order[-1])
@@ -157,12 +159,12 @@ def _cap_general(v, s, betas, spec) -> float:
         def f(y: float) -> float:
             return consts[j] * (1.0 - y * y) ** betas[j] * level(i + 1, partial + v[j] * y)
 
-        return _quad(f, lo, 1.0, spec)
+        return _quad(f, lo, 1.0)
 
     return level(0, 0.0)
 
 
-def _cap_corner(v, s, betas, spec) -> float:
+def _cap_corner(v, s, betas) -> float:
     """Corner-simplex route for thin caps: gap = one_norm - s < min(v).
 
     After y_i = 1 - t_i (1-z_i) prod_{l<i} z_l with t_i = gap / v_i the
@@ -198,26 +200,26 @@ def _cap_corner(v, s, betas, spec) -> float:
                 * level(i + 1, zprod * z)
             )
 
-        return _quad(f, 0.0, 1.0, spec)
+        return _quad(f, 0.0, 1.0)
 
     return prefactor * level(0, 1.0)
 
 
-def _drop_zero_components(v: np.ndarray, betas: Sequence[float]):
-    mask = v > ZERO_COMPONENT_TOL
-    return v[mask], [b for b, keep in zip(betas, mask) if keep]
-
-
-def cap_content_meta(
-    cap: MetaCap, betas: Sequence[float], spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """Weighted content of the meta-cap C+(v, s), a probability in [0,1]."""
+def _nonzero_components(cap: MetaCap, betas: Sequence[float]):
+    """Check one weight > -1 per component; return v and the weights
+    with the components of v below ZERO_COMPONENT_TOL dropped."""
     if len(betas) != cap.m:
         raise ValueError(f"{cap.m} components but {len(betas)} beta weights")
     betas = [float(b) for b in betas]
     if any(b <= -1.0 for b in betas):
         raise ValueError("beta weights must exceed -1")
-    v, betas = _drop_zero_components(cap.v, betas)
+    mask = cap.v > ZERO_COMPONENT_TOL
+    return cap.v[mask], [b for b, keep in zip(betas, mask) if keep]
+
+
+def cap_content_meta(cap: MetaCap, betas: Sequence[float]) -> float:
+    """Weighted content of the meta-cap C+(v, s), a probability in [0,1]."""
+    v, betas = _nonzero_components(cap, betas)
     one_norm = float(v.sum())
     s = cap.s
     if s >= one_norm:
@@ -225,25 +227,18 @@ def cap_content_meta(
     if s <= -one_norm:
         return 1.0
     if one_norm - s < float(v.min()):
-        return _cap_corner(v, s, betas, spec)
-    return _cap_general(v, s, betas, spec)
+        return _cap_corner(v, s, betas)
+    return _cap_general(v, s, betas)
 
 
-def section_content_meta(
-    cap: MetaCap, betas: Sequence[float], spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def section_content_meta(cap: MetaCap, betas: Sequence[float]) -> float:
     """Weighted (m-1)-content of the slice {y in [-1,1]^m : y . v = s}.
 
     The slice is parametrized over the remaining coordinates after
     solving for the largest-v one, which contributes the 1/v_max
     surface jacobian; equals -d/ds of cap_content_meta.
     """
-    if len(betas) != cap.m:
-        raise ValueError(f"{cap.m} components but {len(betas)} beta weights")
-    betas = [float(b) for b in betas]
-    if any(b <= -1.0 for b in betas):
-        raise ValueError("beta weights must exceed -1")
-    v, betas = _drop_zero_components(cap.v, betas)
+    v, betas = _nonzero_components(cap, betas)
     s = cap.s
     one_norm = float(v.sum())
     m = len(v)
@@ -278,7 +273,7 @@ def section_content_meta(
                 * consts[solve] * (1.0 - y_solve * y_solve) ** betas[solve]
             )
 
-        return _quad(f, lo, hi, spec)
+        return _quad(f, lo, hi)
 
     # sup of what the coordinates after level i (plus inner and solved
     # ones) can still contribute; outside [lo, hi] the slice is empty
@@ -299,7 +294,7 @@ def section_content_meta(
         def f(y: float) -> float:
             return consts[j] * (1.0 - y * y) ** betas[j] * level(i + 1, partial + v[j] * y)
 
-        return _quad(f, lo, hi, spec)
+        return _quad(f, lo, hi)
 
     return level(0, 0.0) / float(v[solve])
 
@@ -367,8 +362,8 @@ def verify_reduction(
     bp: BetaParams,
     trials: int = 50,
     n_samples: int = 10 ** 6,
-    rng=None,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
+    rng,
 ) -> Report:
     """Halfspace mass two ways: direct Monte Carlo against the cube
     quadrature times the stated conversion constant.
@@ -377,7 +372,7 @@ def verify_reduction(
     when the target mass would be too small for a sound binomial z-test
     (fewer than ~100 expected hits).
     """
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    gen = as_generator(rng)
     const = reduction_constant(bs, bp)
     metas = shifted_betas(bs, bp)
     rep = Report(
@@ -395,7 +390,7 @@ def verify_reduction(
             cap = MetaCap(v, 0.0)
             gap = gen.uniform(0.05, 1.0) * (cap.one_norm - cap.s1)
             s = cap.one_norm - gap
-            p_ref = const * cap_content_meta(MetaCap(v, s), metas, spec)
+            p_ref = const * cap_content_meta(MetaCap(v, s), metas)
             if min_hits / n_samples <= p_ref <= 0.9:
                 break
         units = [_unit_vector(gen, d) for d in bs.dims]
@@ -411,26 +406,7 @@ def verify_reduction(
     return rep
 
 
-@dataclass(frozen=True)
-class BoundsGrid:
-    """Gap grid for the order-of-magnitude bound checks.
-
-    Gaps are log-spaced over `decades`, topping out at `top_fraction`
-    of the admissible range, so the grid stays in the regime where the
-    two-sided bounds have settled.
-    """
-
-    seed: int = 2024
-    n_directions: int = 3
-    n_gaps: int = 12
-    decades: float = 3.0
-    top_fraction: float = 0.05
-    slope_tol: float = 0.05
-    spread_max: float = 1e3
-    min_component: float = 0.25
-
-
-def _ratio_checks(rep, label, gaps, ratios, grid):
+def _ratio_checks(rep, label, gaps, ratios):
     ratios = np.asarray(ratios)
     finite = bool(np.all(np.isfinite(ratios)) and np.all(ratios > 0))
     if not finite:
@@ -440,17 +416,12 @@ def _ratio_checks(rep, label, gaps, ratios, grid):
     slope = float(np.polyfit(np.log(gaps), np.log(ratios), 1)[0])
     spread = float(ratios.max() / ratios.min())
     rep.add(Check(name=f"{label} slope", value=slope, reference=0.0,
-                  stat_name="slope", stat=slope, passed=abs(slope) <= grid.slope_tol))
+                  stat_name="slope", stat=slope, passed=abs(slope) <= BOUNDS_SLOPE_TOL))
     rep.add(Check(name=f"{label} spread", value=spread, reference=1.0,
-                  stat_name="ratio", stat=spread, passed=spread <= grid.spread_max))
+                  stat_name="ratio", stat=spread, passed=spread <= BOUNDS_SPREAD_MAX))
 
 
-def verify_bounds(
-    m: int,
-    betas: Sequence[float],
-    grid: BoundsGrid = BoundsGrid(),
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> Report:
+def verify_bounds(m: int, betas: Sequence[float]) -> Report:
     """Cap and section contents against their power-law envelopes.
 
     In the corner range s in (s1(v), ||v||_1) the cap is comparable to
@@ -464,16 +435,17 @@ def verify_bounds(
     if m > 1 and any(b < 0 for b in betas):
         raise ValueError("section bounds need nonnegative beta weights for m >= 2")
     rep = Report(title=f"bounds m={m} betas={tuple(betas)}")
-    gen = np.random.default_rng(grid.seed)
+    gen = np.random.default_rng(BOUNDS_SEED)
     beta_sum = sum(betas)
-    n_dirs = 1 if m == 1 else grid.n_directions
+    n_dirs = 1 if m == 1 else BOUNDS_DIRECTIONS
+    steps = 10.0 ** -np.linspace(0.0, BOUNDS_DECADES, BOUNDS_GAPS)
     for k in range(n_dirs):
         if m == 1:
             v = np.array([1.0])
         else:
             v = np.abs(gen.standard_normal(m))
             v /= np.linalg.norm(v)
-            while v.min() < grid.min_component:
+            while v.min() < BOUNDS_MIN_COMPONENT:
                 v = np.abs(gen.standard_normal(m))
                 v /= np.linalg.norm(v)
         one_norm = float(v.sum())
@@ -481,22 +453,33 @@ def verify_bounds(
         vs_factor = float(np.prod(v ** -(np.asarray(betas) + 1.0)))
 
         # cap against gap^(beta_sum + m) in (s1, one_norm)
-        gap_max = (one_norm - s1) * grid.top_fraction
-        gaps = gap_max * 10.0 ** -np.linspace(0.0, grid.decades, grid.n_gaps)
-        caps = [
-            cap_content_meta(MetaCap(v, one_norm - g), betas, spec) for g in gaps
-        ]
+        gaps = (one_norm - s1) * BOUNDS_TOP_FRACTION * steps
+        caps = [cap_content_meta(MetaCap(v, one_norm - g), betas) for g in gaps]
         bound = gaps ** (beta_sum + m) * vs_factor
-        _ratio_checks(rep, f"cap[v{k}]", gaps, np.asarray(caps) / bound, grid)
+        _ratio_checks(rep, f"cap[v{k}]", gaps, np.asarray(caps) / bound)
 
         # section against gap^(beta_sum + m - 1) in (max(s1, 0), one_norm)
-        gap_max = (one_norm - max(s1, 0.0)) * grid.top_fraction
-        gaps = gap_max * 10.0 ** -np.linspace(0.0, grid.decades, grid.n_gaps)
-        secs = [
-            section_content_meta(MetaCap(v, one_norm - g), betas, spec) for g in gaps
-        ]
+        gaps = (one_norm - max(s1, 0.0)) * BOUNDS_TOP_FRACTION * steps
+        secs = [section_content_meta(MetaCap(v, one_norm - g), betas) for g in gaps]
         bound = gaps ** (beta_sum + m - 1.0) * vs_factor
-        _ratio_checks(rep, f"section[v{k}]", gaps, np.asarray(secs) / bound, grid)
+        _ratio_checks(rep, f"section[v{k}]", gaps, np.asarray(secs) / bound)
+    return rep
+
+
+def _two_route_report(title: str, name: str, vals_l, vals_r, exact) -> Report:
+    """z-test of the Monte Carlo means of two routes to one integral, and
+    of the second route against the exact value when there is one."""
+    lhs, se_l = float(vals_l.mean()), float(vals_l.std(ddof=1) / math.sqrt(len(vals_l)))
+    rhs, se_r = float(vals_r.mean()), float(vals_r.std(ddof=1) / math.sqrt(len(vals_r)))
+    rep = Report(title=title)
+    se = math.hypot(se_l, se_r)
+    z = (lhs - rhs) / se if se > 0 else 0.0
+    rep.add(Check(name=name, value=rhs, reference=lhs,
+                  stat_name="z", stat=z, passed=abs(z) <= 3.0))
+    if exact is not None:
+        ze = (rhs - exact) / se_r if se_r > 0 else 0.0
+        rep.add(Check(name="exact_value", value=rhs, reference=exact,
+                      stat_name="z", stat=ze, passed=abs(ze) <= 3.0))
     return rep
 
 
@@ -517,7 +500,8 @@ def verify_polyspherical(
     bs: BlockStructure,
     test_fn_id: str = "one",
     n_samples: int = 200_000,
-    rng=None,
+    *,
+    rng,
 ) -> Report:
     """Sphere integral vs its block-radial decomposition, both by MC.
 
@@ -525,7 +509,7 @@ def verify_polyspherical(
     unit hemisphere-quadrant and unit vectors per block, with density
     weight prod v_i^(d_i - 1).
     """
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    gen = as_generator(rng)
     fns = _test_functions(bs)
     if test_fn_id not in fns:
         raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(fns)}")
@@ -534,8 +518,7 @@ def verify_polyspherical(
 
     w_full = gen.standard_normal((n_samples, d))
     w_full /= np.linalg.norm(w_full, axis=1, keepdims=True)
-    vals = f(w_full) * sphere_area(d)
-    lhs, se_l = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+    vals_l = f(w_full) * sphere_area(d)
 
     v = np.abs(gen.standard_normal((n_samples, m)))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -550,18 +533,10 @@ def verify_polyspherical(
         np.prod([sphere_area(di) for di in bs.dims])
     )
     vals_r = f(w_made) * weight * measure
-    rhs, se_r = float(vals_r.mean()), float(vals_r.std(ddof=1) / math.sqrt(n_samples))
-
-    rep = Report(title=f"polyspherical dims={bs.dims} f={test_fn_id}")
-    se = math.hypot(se_l, se_r)
-    z = (lhs - rhs) / se if se > 0 else 0.0
-    rep.add(Check(name="decomposition", value=rhs, reference=lhs,
-                  stat_name="z", stat=z, passed=abs(z) <= 3.0))
-    if exact is not None:
-        ze = (rhs - exact) / se_r if se_r > 0 else 0.0
-        rep.add(Check(name="exact_value", value=rhs, reference=exact,
-                      stat_name="z", stat=ze, passed=abs(ze) <= 3.0))
-    return rep
+    return _two_route_report(
+        f"polyspherical dims={bs.dims} f={test_fn_id}", "decomposition",
+        vals_l, vals_r, exact,
+    )
 
 
 def _square_chord(w: np.ndarray, s: np.ndarray):
@@ -603,7 +578,8 @@ def _bp_f(test_fn_id: str, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
 def verify_blaschke_petkantschin_2d(
     test_fn_id: str = "square",
     n_samples: int = 400_000,
-    rng=None,
+    *,
+    rng,
 ) -> Report:
     """Planar pair integral vs its line decomposition, both by MC.
 
@@ -612,13 +588,12 @@ def verify_blaschke_petkantschin_2d(
     weighted by chord length squared and the segment length |t1 - t2|
     (with the 1/2 orientation factor).
     """
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    gen = as_generator(rng)
     n = int(n_samples)
 
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))
     vals_l = 16.0 * _bp_f(test_fn_id, x1, x2)
-    lhs, se_l = float(vals_l.mean()), float(vals_l.std(ddof=1) / math.sqrt(n))
 
     theta = gen.uniform(0.0, 2.0 * math.pi, size=n)
     w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -639,16 +614,8 @@ def verify_blaschke_petkantschin_2d(
     vals_r = np.where(
         ok, 4.0 * math.pi * length ** 2 * np.abs(t1 - t2) * f_vals, 0.0
     )
-    rhs, se_r = float(vals_r.mean()), float(vals_r.std(ddof=1) / math.sqrt(n))
-
     exact = {"square": 16.0, "disk": math.pi ** 2}.get(test_fn_id)
-    rep = Report(title=f"pair integral via lines f={test_fn_id}")
-    se = math.hypot(se_l, se_r)
-    z = (lhs - rhs) / se if se > 0 else 0.0
-    rep.add(Check(name="line_decomposition", value=rhs, reference=lhs,
-                  stat_name="z", stat=z, passed=abs(z) <= 3.0))
-    if exact is not None:
-        ze = (rhs - exact) / se_r if se_r > 0 else 0.0
-        rep.add(Check(name="exact_value", value=rhs, reference=exact,
-                      stat_name="z", stat=ze, passed=abs(ze) <= 3.0))
-    return rep
+    return _two_route_report(
+        f"pair integral via lines f={test_fn_id}", "line_decomposition",
+        vals_l, vals_r, exact,
+    )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special, stats
 
-from .core import BetaParams, BlockStructure, block_norms
+from .core import BetaParams, BlockStructure
 from .report import Check, Report
 
 
@@ -44,10 +44,6 @@ class BetaBallLaw:
         if float(self.beta) <= -1.0:
             raise ValueError(f"beta must exceed -1, got {self.beta}")
         object.__setattr__(self, "dim", int(self.dim))
-
-    @property
-    def norm_const(self) -> float:
-        return ball_density_const(self.dim, float(self.beta))
 
 
 @dataclass(frozen=True)
@@ -92,49 +88,26 @@ def container_volume(bs: BlockStructure) -> float:
     return v
 
 
-def sample_beta_ball(law: BetaBallLaw, rng, size: int | None = None) -> np.ndarray:
-    """Draw from the beta-weighted ball law; shape (size, dim) or (dim,)."""
+def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
+    """Draw size points from the beta-weighted ball law; shape (size, dim)."""
     gen = as_generator(rng)
-    n = 1 if size is None else int(size)
+    n = int(size)
     dirs = gen.standard_normal((n, law.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.sqrt(gen.beta(law.dim / 2.0, float(law.beta) + 1.0, size=n))
-    pts = dirs * radii[:, None]
-    return pts[0] if size is None else pts
+    return dirs * radii[:, None]
 
 
-def sample_block_beta(
-    bs: BlockStructure, bp: BetaParams, rng, size: int | None = None
-) -> np.ndarray:
-    """Draw block-beta points in the ball product; blocks independent."""
+def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.ndarray:
+    """Draw size block-beta points in the ball product; blocks independent."""
     if bs.m != len(bp.betas):
         raise ValueError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
     gen = as_generator(rng)
-    n = 1 if size is None else int(size)
     parts = [
-        sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=n)
+        sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=size)
         for d, b in zip(bs.dims, bp.betas)
     ]
-    pts = np.concatenate(parts, axis=1)
-    return pts[0] if size is None else pts
-
-
-def density(bs: BlockStructure, bp: BetaParams, x) -> np.ndarray:
-    """Block-beta density at x (batch axes allowed); zero outside."""
-    if bs.m != len(bp.betas):
-        raise ValueError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
-    norms = block_norms(bs, x)
-    betas = np.asarray(bp.as_floats())
-    inside = np.all(norms <= 1.0, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # (1 - r^2)^beta is +inf on the boundary when beta < 0; that is
-        # the honest density value there.
-        factors = (1.0 - np.minimum(norms, 1.0) ** 2) ** betas
-    consts = np.prod(
-        [ball_density_const(d, float(b)) for d, b in zip(bs.dims, bp.betas)]
-    )
-    out = consts * np.prod(factors, axis=-1)
-    return np.where(inside, out, 0.0)
+    return np.concatenate(parts, axis=1)
 
 
 def verify_sampler(seed: int, n_samples: int) -> Report:

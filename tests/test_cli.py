@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import blockbeta.cli as cli
 from blockbeta.cli import (
@@ -80,10 +81,40 @@ def test_config_hash_ignores_name():
     assert a != c
 
 
-def test_config_roundtrips_through_canonical():
-    cfg = make_config()
-    again = ExperimentConfig.from_dict(cfg.canonical())
+beta_st = st.one_of(
+    st.integers(0, 5),
+    st.fractions(min_value=Fraction(-9, 10), max_value=5, max_denominator=12)
+    .map(lambda f: f"{f.numerator}/{f.denominator}"),
+    st.floats(-0.9, 5.0),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@example(blocks=[(2, "1/3"), (1, 0)], n_grid=[20, 40], reps=2, root_seed=5,
+         observables={"f_vector"}, name="")
+@given(
+    blocks=st.lists(st.tuples(st.integers(1, 4), beta_st), min_size=1, max_size=3),
+    n_grid=st.lists(st.integers(13, 10 ** 6), min_size=1, max_size=5),
+    reps=st.integers(1, 50),
+    root_seed=st.integers(0, 2 ** 64 - 1),
+    observables=st.sets(st.sampled_from(["f_vector", "volume_deficit"]), min_size=1),
+    name=st.sampled_from(["", "t", "run 2"]),
+)
+def test_config_roundtrips_through_canonical(blocks, n_grid, reps, root_seed, observables,
+                                             name):
+    betas = [b for _, b in blocks]
+    cfg = ExperimentConfig.from_dict({
+        "name": name, "block_dims": [d for d, _ in blocks], "betas": betas,
+        "n_grid": n_grid, "reps": reps, "root_seed": root_seed,
+        "observables": sorted(observables),
+    })
+    # record.json stores the canonical form as JSON
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.canonical())))
     assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
+    # a weight given as "p/q" comes back as a Fraction, never as a float
+    assert [type(b) for b in again.betas] == [type(b) for b in cfg.betas]
+    assert [isinstance(b, Fraction) for b in again.betas] == [isinstance(b, str) for b in betas]
 
 
 def test_simulate_record_layout(tmp_path):
@@ -262,6 +293,36 @@ def test_main_fit_insufficient_span_is_usage_error(tmp_path, capsys):
     main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert main(["fit", "--record", str(out / "cli")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["predict", "--dims", "2,0"], None),
+    (["predict", "--dims", "2,1", "--betas", "0"], None),
+    (["predict", "--dims", "2,1", "--betas=-2,0"], None),
+    (["predict", "--dims", "2,1", "--betas=-0.5,0"], None),
+    (["predict", "--dims", "x"], None),
+    (["simulate"], "{not json"),
+    (["simulate"], json.dumps({"block_dims": ["a"]})),
+    (["simulate"], json.dumps({"block_dims": [2], "reps": "x"})),
+    (["fit", "--log-power", "1.5"], None),
+    (["fit"], "{not json"),                     # written over record.json
+])
+def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
+    if argv[0] == "simulate":
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path), "--out", str(tmp_path / "out")]
+    elif argv[0] == "fit":
+        cfg = write_config(tmp_path, n_grid=[10, 32, 100, 320, 1000], reps=2)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        record_dir = tmp_path / "out" / "cli"
+        if config is not None:
+            (record_dir / "record.json").write_text(config)
+        argv = [*argv, "--record", str(record_dir)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -6,11 +5,7 @@ from hypothesis import given, strategies as st
 from blockbeta.core import (
     BetaParams,
     BlockStructure,
-    block_norms,
-    contains,
-    norm,
     predict_rate,
-    support_function,
     volume_deficit_rate,
 )
 
@@ -19,7 +14,6 @@ def test_block_structure_basics():
     bs = BlockStructure((2, 1))
     assert bs.m == 2
     assert bs.dim == 3
-    assert bs.offsets == (0, 2)
 
 
 def test_block_structure_rejects_bad_dims():
@@ -27,36 +21,6 @@ def test_block_structure_rejects_bad_dims():
         BlockStructure(())
     with pytest.raises(ValueError):
         BlockStructure((2, 0))
-
-
-def test_split_views_batch():
-    bs = BlockStructure((2, 2))
-    x = np.arange(8.0).reshape(2, 4)
-    a, b = bs.split(x)
-    assert a.shape == (2, 2) and b.shape == (2, 2)
-    assert np.array_equal(b[1], [6.0, 7.0])
-
-
-def test_support_function_example():
-    # ||(0.6, 0.8)|| + |0.5| = 1.5
-    bs = BlockStructure((2, 1))
-    assert support_function(bs, np.array([0.6, 0.8, 0.5])) == pytest.approx(1.5)
-
-
-def test_gauge_and_contains_boundary():
-    bs = BlockStructure((2, 1))
-    x = np.array([0.6, 0.8, 0.3])     # first block exactly on the sphere
-    assert norm(bs, x) == pytest.approx(1.0)
-    assert contains(bs, x, tol=1e-12)
-    assert not contains(bs, np.array([0.8, 0.8, 0.0]))
-    assert contains(bs, np.array([0.0, 0.0, -1.0]))
-
-
-def test_block_norms_batched():
-    bs = BlockStructure((1, 2))
-    xs = np.array([[3.0, 0.0, 4.0], [1.0, 1.0, 0.0]])
-    got = block_norms(bs, xs)
-    assert np.allclose(got, [[3.0, 4.0], [1.0, 1.0]])
 
 
 def test_beta_params_validation():

@@ -11,7 +11,6 @@ from blockbeta.hull import (
     HullResult,
     _dedup,
     brute_force_facets,
-    contains_point,
     contains_points,
     convex_hull,
     euler_relation_holds,
@@ -67,11 +66,16 @@ def test_interior_points_with_interior_cloud():
 
 def test_contains():
     hull = convex_hull(cube_points(3))
-    assert contains_point(hull, [0.0, 0.0, 0.0])
-    assert contains_point(hull, [1.0, 1.0, 1.0])          # a vertex
-    assert not contains_point(hull, [1.1, 0.0, 0.0])
-    flags = contains_points(hull, [[0.5, 0.5, 0.5], [0.0, 0.0, 2.0]])
-    assert list(flags) == [True, False]
+    flags = contains_points(hull, [
+        [0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0],                  # a vertex
+        [1.0 + 1e-10, 0.0, 0.0],          # outside, within CONTAINS_TOL
+        [1.0 + 1e-8, 0.0, 0.0],
+        [1.1, 0.0, 0.0],
+        [0.5, 0.5, 0.5],
+        [0.0, 0.0, 2.0],
+    ])
+    assert list(flags) == [True, True, True, False, False, True, False]
 
 
 def test_normals_point_outward():

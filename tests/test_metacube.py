@@ -7,11 +7,11 @@ from scipy import integrate
 
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.metacube import (
-    DEFAULT_SPEC,
     MetaCap,
-    QuadratureSpec,
+    QuadratureError,
     _cap_corner,
     _cap_general,
+    _quad,
     cap_content_full_mc,
     cap_content_meta,
     embed_direction,
@@ -71,9 +71,14 @@ def test_incomplete_beta_edges():
         incomplete_beta(0.0, 1.0, 0.5)
 
 
-def test_quadrature_spec_limit():
-    assert QuadratureSpec(max_depth=4).limit == 16
-    assert DEFAULT_SPEC.limit == 512
+def test_quad_raises_when_the_subinterval_limit_is_reached():
+    # 1/x on (0, 1] diverges: QUADPACK uses up its 512 subintervals with
+    # an error estimate far above the tolerances, and _quad reports it
+    with pytest.raises(QuadratureError, match=r"subdivisions \(512\)") as exc:
+        _quad(lambda x: 1.0 / x, 0.0, 1.0)
+    assert exc.value.err > 0.0
+    assert _quad(lambda x: 3.0 * x * x, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert _quad(lambda x: 1.0, 1.0, 1.0) == 0.0
 
 
 def test_metacap_validation():
@@ -133,16 +138,6 @@ def test_cap_zero_component_dropped():
     assert a == pytest.approx(b, rel=1e-10)
 
 
-def test_cap_corner_and_general_routes_agree():
-    v = np.array([0.5, 0.5, math.sqrt(0.5)])
-    v /= np.linalg.norm(v)
-    betas = [0.0, 0.5, 1.0]
-    s = float(v.sum()) - 0.5 * float(v.min())   # inside the corner range
-    a = _cap_corner(v, s, betas, DEFAULT_SPEC)
-    b = _cap_general(v, s, betas, DEFAULT_SPEC)
-    assert a == pytest.approx(b, rel=1e-7)
-
-
 def test_cap_corner_handles_thin_slivers():
     # direct quadrature would see ~1e-30 of cancelling mass here
     v = np.array([0.6, 0.8])
@@ -170,7 +165,35 @@ def test_cap_complement_identity(v, data):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-@settings(max_examples=20, deadline=None)
+betas_st = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(v=unit_vec_st, data=st.data())
+def test_cap_corner_and_general_routes_agree(v, data):
+    # both routes are valid whenever gap = one_norm - s < min v
+    betas = [data.draw(betas_st) for _ in v]
+    gap = data.draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)) * float(v.min())
+    s = float(v.sum()) - gap
+    assert _cap_corner(v, s, betas) == pytest.approx(_cap_general(v, s, betas), rel=1e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(v=unit_vec_st, data=st.data())
+def test_cap_continuous_where_the_route_switches(v, data):
+    # cap_content_meta takes the corner route just above one_norm - min v
+    # and the general route just below it; across the 2e-9 step the cap
+    # drops by the section content (its -d/ds) times the step, which
+    # alone reaches 1.6e-7 of the cap when min v is small
+    betas = [data.draw(betas_st) for _ in v]
+    switch = float(v.sum()) - float(v.min())
+    below = cap_content_meta(MetaCap(v, switch - 1e-9), betas)
+    above = cap_content_meta(MetaCap(v, switch + 1e-9), betas)
+    drop = 2e-9 * section_content_meta(MetaCap(v, switch), betas)
+    assert above == pytest.approx(below - drop, rel=1e-7)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(v=unit_vec_st, data=st.data())
 def test_cap_monotone_in_s(v, data):
     betas = [0.5] * len(v)
