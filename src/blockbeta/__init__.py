@@ -46,7 +46,6 @@ from .metacube import (
     verify_reduction,
 )
 from .asymptotics import (
-    AwConfig,
     RateFit,
     aw_asymptotic,
     aw_integral_numeric,

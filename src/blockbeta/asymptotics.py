@@ -2,16 +2,16 @@
 
 The integral
 
-    I(n) = int_{[0,1]^m} (1 - c x_1...x_m)^(n-alpha) prod x_i^{a_i} dx
+    I(n) = int_{[0,1]^m} (1 - x_1...x_m)^n prod x_i^{a_i} dx
 
-with a_1 >= ... >= a_m > 0 and c in (0,1] controls expected face counts.
-Substituting t = c n x_1...x_m in the innermost variable and integrating
+with a_1 >= ... >= a_m > 0 controls expected face counts.
+Substituting t = n x_1...x_m in the innermost variable and integrating
 the outer coordinates exactly turns it into a single smooth integral
 
-    I(n) = (cn)^-(a_m+1) int_0^{cn} (1 - t/n)^(n-alpha) t^{a_m} W(t/(cn)) dt
+    I(n) = n^-(a_m+1) int_0^n (1 - t/n)^n t^{a_m} W(t/n) dt
 
 where W(u) is the elementary outer integral (closed form for m <= 3).
-Its leading term is Gamma(a_l+1) (cn)^-(a_l+1) (ln n)^(m-l) divided by
+Its leading term is Gamma(a_l+1) n^-(a_l+1) (ln n)^(m-l) divided by
 (m-l)! prod_{i<l} (a_i - a_l), with l the first index tied with a_m.
 
 fit_rate estimates growth exponents from simulated means; efron_check
@@ -28,46 +28,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .core import BetaParams, BlockStructure, RatePrediction
+from .core import BetaParams, BlockStructure
 from .hull import contains_points, convex_hull
 from .report import Check, Report
 from .sampler import as_generator, sample_block_beta
 
 TIE_TOL = 1e-12
+EFRON_PROBES = 20_000         # uniform probes per volume-ratio estimate
 
 
-@dataclass(frozen=True)
-class AwConfig:
-    """Parameters of the boundary-layer integral; a is sorted descending."""
-
-    m: int
-    alpha: float
-    a: tuple[float, ...]
-    c: float = 1.0
-
-    def __post_init__(self):
-        if int(self.m) < 1:
-            raise ValueError("m must be >= 1")
-        a = tuple(sorted((float(x) for x in self.a), reverse=True))
-        if len(a) != int(self.m):
-            raise ValueError(f"expected {self.m} exponents, got {len(a)}")
-        if a[-1] <= 0:
-            raise ValueError("exponents must be positive")
-        if float(self.alpha) < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not (0.0 < float(self.c) <= 1.0):
-            raise ValueError("c must lie in (0, 1]")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", float(self.c))
+def _exponents(a) -> tuple[float, ...]:
+    """The exponents of I(n) as floats, sorted descending, all positive."""
+    a = tuple(sorted((float(x) for x in a), reverse=True))
+    if not a or a[-1] <= 0:
+        raise ValueError(f"need one or more positive exponents, got {a}")
+    return a
 
 
-def _outer_weight(cfg: AwConfig):
+def _outer_weight(a: tuple[float, ...]):
     """W(u) = integral over the outer m-1 coordinates of the region
     {prod x_i >= u} with weights x_i^(a_i - a_m - 1); closed form."""
-    a = cfg.a
-    m = cfg.m
+    m = len(a)
     if m == 1:
         return lambda u: 1.0
     if m == 2:
@@ -99,33 +80,31 @@ def _outer_weight(cfg: AwConfig):
     raise ValueError(f"deterministic evaluation supports m <= 3, got m={m}")
 
 
-def aw_integral_numeric(cfg: AwConfig, n: float) -> float:
-    """Deterministic evaluation of I(n), m <= 3.
+def aw_integral_numeric(a, n: float) -> float:
+    """Deterministic evaluation of I(n) for exponents a, m = len(a) <= 3.
 
     Accuracy is limited by the 1-D adaptive quadrature (relative
     tolerance ~1e-10 requested); the integrand is evaluated in log
     space to stay stable at large n.
     """
+    a = _exponents(a)
     n = float(n)
-    if n < max(3.0, 2.0 * cfg.alpha):
-        raise ValueError(f"n={n} too small for alpha={cfg.alpha}")
-    w = _outer_weight(cfg)
-    am = cfg.a[-1]
-    cn = cfg.c * n
-    power = n - cfg.alpha
+    if n < 3.0:
+        raise ValueError(f"need n >= 3, got n={n}")
+    w = _outer_weight(a)
+    am = a[-1]
 
     def integrand(t: float) -> float:
-        if t <= 0.0 or t >= cn:
+        if t <= 0.0 or t >= n:
             return 0.0
-        u = t / cn
-        lg = power * math.log1p(-t / n) + am * math.log(t)
-        return math.exp(lg) * w(u)
+        lg = n * math.log1p(-t / n) + am * math.log(t)
+        return math.exp(lg) * w(t / n)
 
     # the mass sits at t = O(log n); integrate outward in decades and
     # stop once a block stops contributing
     cuts = [0.0, 1.0]
-    while cuts[-1] < cn:
-        cuts.append(min(cuts[-1] * 10.0, cn))
+    while cuts[-1] < n:
+        cuts.append(min(cuts[-1] * 10.0, n))
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         piece, _ = integrate.quad(
@@ -134,32 +113,28 @@ def aw_integral_numeric(cfg: AwConfig, n: float) -> float:
         total += piece
         if piece < 1e-14 * total and lo >= 1.0:
             break
-    return cn ** -(am + 1.0) * total
+    return n ** -(am + 1.0) * total
 
 
-def aw_asymptotic(cfg: AwConfig, n: float) -> float:
-    """Leading-order growth law of I(n).
+def aw_asymptotic(a, n: float) -> float:
+    """Leading-order growth law of I(n) for exponents a.
 
     With l the smallest index tied with a_m (ties within 1e-12):
-    Gamma(a_l + 1) (cn)^-(a_l+1) (ln n)^(m-l) / ((m-l)! prod_{i<l} (a_i - a_l)).
+    Gamma(a_l + 1) n^-(a_l+1) (ln n)^(m-l) / ((m-l)! prod_{i<l} (a_i - a_l)).
     The (m-l)! comes from the m-l outer coordinates tied with a_m: their
     share of W(u) is the simplex volume (-ln u)^(m-l) / (m-l)!.
     """
+    a = _exponents(a)
     n = float(n)
-    a = cfg.a
-    ell = cfg.m
+    m = len(a)
+    ell = m
     while ell > 1 and a[ell - 2] - a[-1] <= TIE_TOL * max(1.0, abs(a[-1])):
         ell -= 1
     a_l = a[ell - 1]
-    denom = math.factorial(cfg.m - ell)
+    denom = math.factorial(m - ell)
     for i in range(ell - 1):
         denom *= a[i] - a_l
-    return (
-        math.gamma(a_l + 1.0)
-        * (cfg.c * n) ** -(a_l + 1.0)
-        * math.log(n) ** (cfg.m - ell)
-        / denom
-    )
+    return math.gamma(a_l + 1.0) * n ** -(a_l + 1.0) * math.log(n) ** (m - ell) / denom
 
 
 @dataclass(frozen=True)
@@ -187,11 +162,11 @@ def _as_triples(data) -> np.ndarray:
     return arr
 
 
-def fit_rate(data, predicted: RatePrediction, model: str = "fixed") -> RateFit:
+def fit_rate(data, log_power: int, model: str = "fixed") -> RateFit:
     """Weighted least squares for the growth exponent of mean counts.
 
     data: triples (n, mean, se).  With model="fixed" the (ln n) power is
-    pinned to predicted.log_power and only slope and intercept are free;
+    pinned to log_power and only slope and intercept are free;
     model="free" also fits the (ln ln n) coefficient, as a diagnostic.
     Weights are 1/se^2 on the log scale; rows with se == 0 switch the
     fit to unweighted.
@@ -210,10 +185,9 @@ def fit_rate(data, predicted: RatePrediction, model: str = "fixed") -> RateFit:
     y = np.log(mean)
 
     if model == "fixed":
-        p = float(predicted.log_power)
-        y = y - p * ln_ln_n
+        y = y - float(log_power) * ln_ln_n
         cols = [np.ones_like(ln_n), ln_n]
-        label = f"fixed_log_power({predicted.log_power})"
+        label = f"fixed_log_power({log_power})"
     elif model == "free":
         cols = [np.ones_like(ln_n), ln_n, ln_ln_n]
         label = "free"
@@ -245,7 +219,7 @@ def fit_rate(data, predicted: RatePrediction, model: str = "fixed") -> RateFit:
         exponent=float(coef[1]),
         exponent_se=float(math.sqrt(max(cov[1, 1], 0.0))),
         log_coeff=float(coef[0]),
-        log_power=float(predicted.log_power) if model == "fixed" else float(coef[2]),
+        log_power=float(log_power) if model == "fixed" else float(coef[2]),
         model=label,
         r_squared=r2,
     )
@@ -257,7 +231,6 @@ def efron_check(
     reps: int = 200,
     *,
     rng,
-    mc_points: int = 20_000,
 ) -> Report:
     """Mean vertex count vs the volume-ratio identity, uniform sampling.
 
@@ -279,7 +252,7 @@ def efron_check(
         f0[r] = len(convex_hull(pts).vertex_ids)
         pts2 = sample_block_beta(bs, bp, gen, size=n - 1)
         hull2 = convex_hull(pts2)
-        probes = sample_block_beta(bs, bp, gen, size=mc_points)
+        probes = sample_block_beta(bs, bp, gen, size=EFRON_PROBES)
         ratio[r] = contains_points(hull2, probes).mean()
     lhs = float(f0.mean())
     se_l = float(f0.std(ddof=1) / math.sqrt(reps))
@@ -309,17 +282,17 @@ def verify_aw(n: float) -> Report:
     rep = Report(title=f"boundary-layer integral ratios at n={n:g}")
     gamma = 0.5772156649015329
     cases = [
-        (AwConfig(1, 0.0, (2.0,)), 0.0),
-        (AwConfig(2, 0.0, (2.0, 1.0)), 0.0),
-        (AwConfig(3, 0.0, (3.0, 2.0, 1.0)), 0.0),
-        (AwConfig(2, 0.0, (1.0, 1.0)), 1.0 - gamma),            # psi(2)
-        (AwConfig(3, 0.0, (3.0, 2.0, 2.0)), 1.5 - gamma + 1.0),  # psi(3) + 1/(3-2)
+        ((2.0,), 0.0),
+        ((2.0, 1.0), 0.0),
+        ((3.0, 2.0, 1.0), 0.0),
+        ((1.0, 1.0), 1.0 - gamma),            # psi(2)
+        ((3.0, 2.0, 2.0), 1.5 - gamma + 1.0),  # psi(3) + 1/(3-2)
     ]
-    for cfg, c2 in cases:
-        ratio = aw_integral_numeric(cfg, n) / aw_asymptotic(cfg, n)
+    for a, c2 in cases:
+        ratio = aw_integral_numeric(a, n) / aw_asymptotic(a, n)
         ref = 1.0 - c2 / math.log(n)
         rep.add(Check(
-            name=f"ratio[a={cfg.a}]", value=ratio, reference=ref,
+            name=f"ratio[a={a}]", value=ratio, reference=ref,
             stat_name="|ratio-ref|", stat=abs(ratio - ref),
             passed=abs(ratio - ref) <= 0.01,
         ))

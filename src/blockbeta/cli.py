@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import InsufficientSpan, efron_check, fit_rate, verify_aw
-from .core import BetaParams, BlockStructure, RatePrediction, predict_rate, volume_deficit_rate
+from .core import BetaParams, BlockStructure, predict_rate, volume_deficit_rate
 from .hull import DegenerateInput, convex_hull, f_vector, verify_hull, volume
 from .metacube import (
     verify_blaschke_petkantschin_2d,
@@ -64,8 +64,9 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def default_n_grid(lo: int = 100, hi: int = 100_000, points: int = 12) -> tuple[int, ...]:
-    grid = np.unique(np.round(np.geomspace(lo, hi, points)).astype(int))
+def default_n_grid() -> tuple[int, ...]:
+    """12 points from 100 to 10^5, evenly spaced in log n."""
+    grid = np.unique(np.round(np.geomspace(100, 100_000, 12)).astype(int))
     return tuple(int(x) for x in grid)
 
 
@@ -256,10 +257,12 @@ def _read_json(path):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_record(record_dir) -> tuple[ExperimentConfig, dict, np.ndarray]:
-    """Read a record directory back: (config, record dict, raw rows)."""
+def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
+    """Read a record directory back: (config, raw rows)."""
     record_dir = Path(record_dir)
     record = _read_json(record_dir / "record.json")
+    if not isinstance(record, dict) or "config" not in record:
+        raise ConfigError(f"{record_dir / 'record.json'} is not an object with a config key")
     config = ExperimentConfig.from_dict(record["config"])
     raw = _read_csv(record_dir / record.get("csv", "raw.csv"))
     # recompute_aggregates reads the rows by position
@@ -268,7 +271,7 @@ def load_record(record_dir) -> tuple[ExperimentConfig, dict, np.ndarray]:
             f"record {record_dir} has {len(raw)} data rows, its config asks for "
             f"{len(config.n_grid) * config.reps}"
         )
-    return config, record, raw
+    return config, raw
 
 
 def _read_csv(path) -> np.ndarray:
@@ -321,54 +324,48 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_observable(config, raw, observable: str, log_power: str):
-    bs = config.structure()
-    bp = config.beta_params()
-    aggregates = recompute_aggregates(config, raw)
+def _predicted_law(config: ExperimentConfig, observable: str) -> tuple[float, int]:
+    """(exponent, log_power) of the growth law predicted for an observable."""
+    bs, bp = config.structure(), config.beta_params()
     if observable == "volume_deficit":
-        if "volume_deficit" not in aggregates:
-            raise ConfigError("record has no volume_deficit observable")
         if any(float(b) != 0.0 for b in bp.as_floats()):
             raise ConfigError("volume deficit rate is only predicted for beta = 0")
-        expo, lp = volume_deficit_rate(bs)
-        predicted = RatePrediction(
-            k=tuple(float(x) for x in bs.dims), k_max=float(max(bs.dims)),
-            count_k_max=bs.dims.count(max(bs.dims)), exponent=expo, log_power=lp,
-        )
-        key = "volume_deficit"
-    else:
-        predicted = predict_rate(bs, bp)
-        key = observable
-        if key not in aggregates:
-            raise ConfigError(f"record has no {key} aggregate")
-    if log_power != "auto":
-        try:
-            power = int(log_power)
-        except ValueError as exc:
-            raise ConfigError(
-                f"--log-power must be 'auto' or an integer, got {log_power!r}"
-            ) from exc
-        predicted = dataclasses.replace(predicted, log_power=power)
-    data = np.stack([
+        return volume_deficit_rate(bs)
+    try:
+        pred = predict_rate(bs, bp)
+    except ValueError as exc:
+        raise ConfigError(f"no predicted rate for this record: {exc}") from exc
+    return pred.exponent, pred.log_power
+
+
+def _observable_rows(config: ExperimentConfig, raw: np.ndarray, observable: str) -> np.ndarray:
+    """(n, mean, se) per grid point of one observable column of a record."""
+    aggregates = recompute_aggregates(config, raw)
+    if observable == "n" or observable not in aggregates:
+        raise ConfigError(f"record has no {observable} aggregate")
+    return np.stack([
         np.asarray(aggregates["n"], dtype=float),
-        np.asarray(aggregates[key]["mean"], dtype=float),
-        np.asarray(aggregates[key]["se"], dtype=float),
+        np.asarray(aggregates[observable]["mean"], dtype=float),
+        np.asarray(aggregates[observable]["se"], dtype=float),
     ], axis=1)
-    fixed = fit_rate(data, predicted, model="fixed")
-    free = fit_rate(data, predicted, model="free")
-    return predicted, fixed, free, data
 
 
 def _cmd_fit(args) -> int:
-    config, _, raw = load_record(args.record)
-    predicted, fixed, free, data = _fit_observable(config, raw, args.observable,
-                                                   args.log_power)
+    config, raw = load_record(args.record)
+    data = _observable_rows(config, raw, args.observable)
+    exponent, log_power = _predicted_law(config, args.observable)
+    if args.log_power != "auto":
+        try:
+            log_power = int(args.log_power)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--log-power must be 'auto' or an integer, got {args.log_power!r}"
+            ) from exc
+    fixed = fit_rate(data, log_power, model="fixed")
+    free = fit_rate(data, log_power, model="free")
     print(f"record: {args.record}")
     print(f"observable: {args.observable}")
-    print(
-        f"predicted: exponent={predicted.exponent:.6g} "
-        f"log_power={predicted.log_power}"
-    )
+    print(f"predicted: exponent={exponent:.6g} log_power={log_power}")
     print(
         f"fitted ({fixed.model}): exponent={fixed.exponent:.6g} "
         f"+- {fixed.exponent_se:.2g} r2={fixed.r_squared:.5f}"
@@ -432,6 +429,8 @@ SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be >= 2 for a standard error, got {args.samples}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [rep for name in names
                for rep in SUITES[name](args.seed, args.trials, args.samples)]
@@ -445,21 +444,16 @@ def _cmd_plot(args) -> int:
     out_script.parent.mkdir(parents=True, exist_ok=True)
     curves = []
     for record_dir in args.record:
-        config, record, raw = load_record(record_dir)
-        agg = record["aggregates"]
-        ns = np.asarray(agg["n"], dtype=float)
-        mean = np.asarray(agg["f_0"]["mean"], dtype=float)
-        se = np.asarray(agg["f_0"]["se"], dtype=float)
-        pred = predict_rate(config.structure(), config.beta_params())
+        config, raw = load_record(record_dir)
+        ns, mean, se = _observable_rows(config, raw, "f_0").T
+        exponent, log_power = _predicted_law(config, "f_0")
         dat = out_script.with_name(out_script.stem + f"_{config.name}.dat")
         rows = "\n".join(
             f"{int(n)} {_fmt(m)} {_fmt(s)}" for n, m, s in zip(ns, mean, se)
         )
         dat.write_text(rows + "\n")
-        anchor = mean[-1] / (
-            ns[-1] ** pred.exponent * math.log(ns[-1]) ** pred.log_power
-        )
-        curves.append((config.name, dat.name, pred, anchor))
+        anchor = mean[-1] / (ns[-1] ** exponent * math.log(ns[-1]) ** log_power)
+        curves.append((config.name, dat.name, exponent, log_power, anchor))
 
     lines = [
         "set logscale xy",
@@ -470,10 +464,10 @@ def _cmd_plot(args) -> int:
         f"set output '{out_script.stem}.png'",
     ]
     plots = []
-    for name, dat, pred, anchor in curves:
+    for name, dat, exponent, log_power, anchor in curves:
         plots.append(f"'{dat}' using 1:2:3 with yerrorlines title '{name}'")
         plots.append(
-            f"{anchor:.8g}*x**{pred.exponent:.8g}*log(x)**{pred.log_power} "
+            f"{anchor:.8g}*x**{exponent:.8g}*log(x)**{log_power} "
             f"with lines dashtype 2 title '{name} guide'"
         )
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))

@@ -79,8 +79,6 @@ class RatePrediction:
     """
 
     k: tuple[float, ...]
-    k_max: float
-    count_k_max: int
     exponent: float
     log_power: int
 
@@ -116,7 +114,6 @@ def predict_rate(bs: BlockStructure, bp: BetaParams) -> RatePrediction:
         count = sum(k == k_max for k in ks)
         exponent = float((k_max - 1) / (k_max + 1))
         k_float = tuple(float(k) for k in ks)
-        k_max_f = float(k_max)
     else:
         ks = [(d + float(b)) / (1.0 + float(b)) for d, b in zip(bs.dims, bp.betas)]
         k_max_f = max(ks)
@@ -125,13 +122,7 @@ def predict_rate(bs: BlockStructure, bp: BetaParams) -> RatePrediction:
         exponent = (k_max_f - 1.0) / (k_max_f + 1.0)
         k_float = tuple(ks)
 
-    return RatePrediction(
-        k=k_float,
-        k_max=k_max_f,
-        count_k_max=count,
-        exponent=exponent,
-        log_power=count - 1,
-    )
+    return RatePrediction(k=k_float, exponent=exponent, log_power=count - 1)
 
 
 def volume_deficit_rate(bs: BlockStructure) -> tuple[float, int]:

@@ -473,11 +473,12 @@ def _two_route_report(title: str, name: str, vals_l, vals_r, exact) -> Report:
     rhs, se_r = float(vals_r.mean()), float(vals_r.std(ddof=1) / math.sqrt(len(vals_r)))
     rep = Report(title=title)
     se = math.hypot(se_l, se_r)
-    z = (lhs - rhs) / se if se > 0 else 0.0
+    # a NaN se (one sample) gives a NaN z, which fails the check
+    z = (lhs - rhs) / se if se != 0 else 0.0
     rep.add(Check(name=name, value=rhs, reference=lhs,
                   stat_name="z", stat=z, passed=abs(z) <= 3.0))
     if exact is not None:
-        ze = (rhs - exact) / se_r if se_r > 0 else 0.0
+        ze = (rhs - exact) / se_r if se_r != 0 else 0.0
         rep.add(Check(name="exact_value", value=rhs, reference=exact,
                       stat_name="z", stat=ze, passed=abs(ze) <= 3.0))
     return rep

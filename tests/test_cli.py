@@ -156,9 +156,9 @@ def test_simulate_budget_guard(tmp_path):
 def test_recompute_aggregates_matches_record(tmp_path):
     cfg = make_config(observables=["f_vector", "volume_deficit"])
     record_dir = simulate(cfg, tmp_path)
-    config, record, raw = load_record(record_dir)
-    again = recompute_aggregates(config, raw)
-    assert again == record["aggregates"]
+    config, raw = load_record(record_dir)
+    record = json.loads((record_dir / "record.json").read_text())
+    assert recompute_aggregates(config, raw) == record["aggregates"]
 
 
 def degenerate_once(monkeypatch):
@@ -209,7 +209,7 @@ def test_record_counts_retried_rows_per_n(tmp_path, monkeypatch):
     assert calls[:2] == [20, 20]
     record = json.loads((record_dir / "record.json").read_text())
     assert record["retries"] == {"n": [20, 40], "rows": [1, 0]}
-    _, _, raw = load_record(record_dir)
+    _, raw = load_record(record_dir)
     assert raw[0, -1] == RETRY_STRIDE and (raw[1:, -1] < RETRY_STRIDE).all()
 
 
@@ -295,6 +295,12 @@ def test_main_fit_insufficient_span_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+NEGATIVE_BETA_CONFIG = {
+    "name": "cli", "block_dims": [1, 1], "betas": ["-1/2", "-1/2"],
+    "n_grid": [10, 32, 100, 320, 1000], "reps": 2, "root_seed": 1,
+}
+
+
 @pytest.mark.parametrize("argv,config", [
     (["predict", "--dims", "2,0"], None),
     (["predict", "--dims", "2,1", "--betas", "0"], None),
@@ -306,13 +312,23 @@ def test_main_fit_insufficient_span_is_usage_error(tmp_path, capsys):
     (["simulate"], json.dumps({"block_dims": [2], "reps": "x"})),
     (["fit", "--log-power", "1.5"], None),
     (["fit"], "{not json"),                     # written over record.json
+    (["verify", "--suite", "bp2d", "--samples", "1"], None),   # no standard error
+    (["fit"], "[]"),
+    (["fit"], "{}"),
+    (["plot"], "[]"),
+    (["fit", "--observable", "n"], None),
+    # a container with no predicted rate; predict exits 2 for it too
+    (["fit"], json.dumps({"config": NEGATIVE_BETA_CONFIG})),
+    (["plot"], json.dumps({"config": NEGATIVE_BETA_CONFIG})),
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
         path = tmp_path / "config.json"
         path.write_text(config)
         argv = [*argv, "--config", str(path), "--out", str(tmp_path / "out")]
-    elif argv[0] == "fit":
+    elif argv[0] == "plot":
+        argv = [*argv, "--out-script", str(tmp_path / "fig.gp")]
+    if argv[0] in ("fit", "plot"):
         cfg = write_config(tmp_path, n_grid=[10, 32, 100, 320, 1000], reps=2)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         record_dir = tmp_path / "out" / "cli"
@@ -424,7 +440,7 @@ def test_env_out_dir_default(tmp_path, monkeypatch, capsys):
 def test_csv_floats_are_full_precision(tmp_path):
     cfg = make_config(observables=["f_vector", "volume_deficit"])
     record_dir = simulate(cfg, tmp_path)
-    _, _, raw = load_record(record_dir)
+    _, raw = load_record(record_dir)
     text_rows = (record_dir / "raw.csv").read_text().strip().split("\n")[1:]
     cell = text_rows[0].split(",")[-2]
     assert float(cell) == raw[0, -2]

@@ -323,6 +323,15 @@ def test_verify_bp2d_smoke():
     assert rep.passed, "\n" + str(rep)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # std of one sample
+def test_verify_bp2d_single_sample_does_not_pass():
+    # with one sample the standard errors are NaN; the z-tests must fail
+    # rather than read z = 0
+    rep = verify_blaschke_petkantschin_2d("square", n_samples=1, rng=RngStream(0, 3))
+    assert not rep.passed
+    assert all(math.isnan(c.stat) and not c.passed for c in rep.checks)
+
+
 def test_verify_bounds_smoke():
     rep = verify_bounds(2, (0.5, 0.5))
     assert rep.passed, "\n" + str(rep)

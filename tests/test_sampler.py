@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from blockbeta.core import BetaParams, BlockStructure
@@ -81,6 +82,21 @@ def test_sample_shapes():
 def test_samples_inside_ball():
     gen = RngStream(1, 0).generator()
     pts = sample_beta_ball(BetaBallLaw(3, 0.0), gen, size=2000)
+    assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    beta=st.floats(-1.0 + 1e-12, -0.9),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_samples_finite_and_inside_ball_near_beta_minus_one(k, beta, seed):
+    # the radial law piles up at r = 1 as beta -> -1: most radii round to
+    # exactly 1.0 there, and a unit direction times 1.0 may overshoot by
+    # an ulp, but never by more
+    pts = sample_beta_ball(BetaBallLaw(k, beta), RngStream(seed, 0), size=500)
+    assert np.all(np.isfinite(pts))
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12)
 
 
