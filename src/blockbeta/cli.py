@@ -278,9 +278,15 @@ def _read_csv(path) -> np.ndarray:
     text = Path(path).read_text().strip().split("\n")
     header = text[0].split(",")
     rows = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         cells = line.split(",")
-        rows.append([float(c) if c else math.nan for c in cells])
+        if len(cells) != len(header):
+            raise ConfigError(f"{path} line {lineno}: {len(cells)} cells under "
+                              f"{len(header)} columns")
+        try:
+            rows.append([float(c) if c else math.nan for c in cells])
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from exc
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         arr = arr.reshape(0, len(header))
@@ -431,6 +437,10 @@ SUITES = {
 def _cmd_verify(args) -> int:
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2 for a standard error, got {args.samples}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ConfigError(f"--seed must fit in u64, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [rep for name in names
                for rep in SUITES[name](args.seed, args.trials, args.samples)]

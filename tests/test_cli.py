@@ -1,6 +1,8 @@
 import json
+import multiprocessing
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -213,6 +215,33 @@ def test_record_counts_retried_rows_per_n(tmp_path, monkeypatch):
     assert raw[0, -1] == RETRY_STRIDE and (raw[1:, -1] < RETRY_STRIDE).all()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched sampler")
+def test_retry_is_deterministic_across_workers(tmp_path, monkeypatch):
+    # stream 9 draws a flat cloud; 12 rows make two chunks of the pool
+    # map, so the retried row is built in a worker of its own
+    real_sample = cli.sample_block_beta
+
+    def flat_on_stream_9(bs, bp, rng, size):
+        pts = real_sample(bs, bp, rng, size=size)
+        return np.zeros_like(pts) if rng.stream_index == 9 else pts
+
+    monkeypatch.setattr(cli, "sample_block_beta", flat_on_stream_9)
+    cfg = make_config(reps=6)
+    d1 = simulate(cfg, tmp_path / "a", workers=1)
+    d2 = simulate(cfg, tmp_path / "b", workers=2)
+    assert (d1 / "raw.csv").read_bytes() == (d2 / "raw.csv").read_bytes()
+    retries = [json.loads((d / "record.json").read_text())["retries"] for d in (d1, d2)]
+    assert retries[0] == retries[1] == {"n": [20, 40], "rows": [0, 1]}
+
+    _, raw = load_record(d1)
+    assert raw[9, -1] == 9 + RETRY_STRIDE
+    assert (np.delete(raw[:, -1], 9) < RETRY_STRIDE).all()
+    monkeypatch.undo()
+    fv, _, _ = replicate(cfg.structure(), cfg.beta_params(), 40, 5, 9 + RETRY_STRIDE)
+    assert list(raw[9, 2:2 + len(fv)]) == list(fv)
+
+
 def test_load_record_rejects_missing_rows(tmp_path):
     record_dir = simulate(make_config(), tmp_path)
     csv = record_dir / "raw.csv"
@@ -320,6 +349,10 @@ NEGATIVE_BETA_CONFIG = {
     # a container with no predicted rate; predict exits 2 for it too
     (["fit"], json.dumps({"config": NEGATIVE_BETA_CONFIG})),
     (["plot"], json.dumps({"config": NEGATIVE_BETA_CONFIG})),
+    (["verify", "--suite", "hull", "--trials", "0"], None),    # checks no hull
+    (["verify", "--suite", "sampler", "--seed", "-1"], None),
+    # a (file, text) pair replaces that file of the record
+    (["fit"], ("raw.csv", "n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,abc,4,,0\n")),
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
@@ -333,7 +366,8 @@ def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         record_dir = tmp_path / "out" / "cli"
         if config is not None:
-            (record_dir / "record.json").write_text(config)
+            name, text = config if isinstance(config, tuple) else ("record.json", config)
+            (record_dir / name).write_text(text)
         argv = [*argv, "--record", str(record_dir)]
     capsys.readouterr()
     assert main(argv) == 2

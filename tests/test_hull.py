@@ -18,6 +18,7 @@ from blockbeta.hull import (
     lower_face_bounds_hold,
     lower_face_coefficient,
     ridges_regular,
+    verify_hull,
     volume,
 )
 from blockbeta.predicates import orientation
@@ -321,3 +322,8 @@ def test_orientation_antisymmetry_3d(simplex, q):
     s = orientation(simplex, q)
     swapped = [simplex[1], simplex[0], simplex[2]]
     assert orientation(swapped, q) == -s
+
+
+def test_verify_hull_fails_when_it_checks_no_hull():
+    assert verify_hull(0, 3).passed
+    assert not verify_hull(0, 0).passed

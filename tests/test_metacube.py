@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, special
+from scipy.special.cython_special import betainc
 
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.metacube import (
@@ -69,6 +70,64 @@ def test_incomplete_beta_edges():
     assert full == pytest.approx(1.0 / 6.0)     # B(2,2)
     with pytest.raises(ValueError):
         incomplete_beta(0.0, 1.0, 0.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    # 4^beta is a power of two for the first five, not for 0.3
+    beta=st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0, 0.3]),
+    x=st.floats(0.0, 1.0, exclude_min=True),
+)
+@example(beta=-0.5, x=1.0)
+@example(beta=2.0, x=1.0)
+def test_hoisted_closed_form_is_bit_identical_to_incomplete_beta(beta, x):
+    # the cap routes evaluate B(a, a; x) as the scalar betainc times a
+    # beta function computed once per cap; it must equal the referee
+    a = beta + 1.0
+    beta_fn = math.exp(special.betaln(a, a))
+    assert betainc(a, a, x) * beta_fn == incomplete_beta(a, a, x)
+    # for m = 1 and s in (-1, 0] the general route is the closed form alone
+    s = 1.0 - 2.0 * x
+    if -1.0 < s <= 0.0:
+        want = ball_density_const(1, beta) * (
+            2.0 * 4.0 ** beta * incomplete_beta(a, a, (1.0 - s) / 2.0)
+        )
+        assert cap_content_meta(MetaCap(np.array([1.0]), s), [beta]) == want
+
+
+H = float.fromhex
+
+# (v, s, betas) -> cap_content_meta as recorded before the innermost
+# closed form was hoisted: a general and a corner cap for m = 1, 2, 3
+# (plus an m = 2 general cap whose 4^beta is not a power of two, so the
+# order of the closed form's products shows), then the caps
+# verify_reduction draws on stream (404, 7) for dims (1,1,1) at beta 1/2
+# (corner, general, general)
+PINNED_CAPS = [
+    ([1.0], -0.3, [0.5], "0x1.604c2cbfc0957p-1"),
+    ([1.0], 0.95, [2.0], "0x1.3b83cf2cf95e4p-13"),
+    ([H("0x1.1c66e2b4bfd46p-2"), H("0x1.ebdb487e3ecafp-1")],
+     H("0x1.a4c18fd10ed5ep-1"), [1.0, 1.0], "0x1.9cb09fde26de1p-6"),
+    ([H("0x1.1c66e2b4bfd46p-2"), H("0x1.ebdb487e3ecafp-1")],
+     H("0x1.197a8095b7600p+0"), [-0.5, 2.0], "0x1.08ee456bb257fp-11"),
+    ([H("0x1.1c66e2b4bfd46p-2"), H("0x1.ebdb487e3ecafp-1")],
+     0.25, [0.3, 1.7], "0x1.25b5853d34388p-2"),
+    ([H("0x1.126c10030c60cp-1"), H("0x1.ea61931bb09c7p-2"), H("0x1.63f98eb12b361p-1")],
+     H("0x1.fbcd39ed4b6fbp-1"), [-0.5, 0.0, 2.0], "0x1.ea672b3fb121fp-6"),
+    ([H("0x1.3824e845b8e05p-1"), H("0x1.6a0f1eaa4356ep-1"), H("0x1.6ebb9ece3abdap-2")],
+     H("0x1.a8335f95c5a8ap+0"), [2.0, 2.0, 2.0], "0x1.0b340ea3592ecp-54"),
+    ([H("0x1.72b7a84c67e2fp-1"), H("0x1.27ead1a7c26bdp-1"), H("0x1.8176b8113ce81p-2")],
+     H("0x1.517e4ec53d6bbp+0"), [0.5] * 3, "0x1.608612dda2d7cp-10"),
+    ([H("0x1.8b11be32deec6p-1"), H("0x1.5b8bf30be0919p-3"), H("0x1.39def3f6f815dp-1")],
+     H("0x1.5d822ddcbcac8p+0"), [0.5] * 3, "0x1.b79dfc8303b49p-13"),
+    ([H("0x1.74123569caa8dp-1"), H("0x1.0cff394ce711ep-1"), H("0x1.c5335dc7a6ed6p-2")],
+     H("0x1.a9f5bda243a5bp-1"), [0.5] * 3, "0x1.8cfb8150cef90p-5"),
+]
+
+
+@pytest.mark.parametrize("v, s, betas, want", PINNED_CAPS)
+def test_cap_values_are_pinned_to_the_bit(v, s, betas, want):
+    assert cap_content_meta(MetaCap(np.array(v), s), betas).hex() == want
 
 
 def test_quad_raises_when_the_subinterval_limit_is_reached():
