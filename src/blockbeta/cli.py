@@ -13,7 +13,9 @@ directory containing raw.csv (one row per hull) plus record.json
 goes through replicate, which draws from the named random stream
 (root_seed, stream index), so output is byte-identical for any worker
 count.
-verify runs the suites of the SUITES registry.
+verify runs the suites of the SUITES registry on VERIFY_WORKERS threads
+and prints their reports in registry order; each suite draws from its
+own random stream, so the output does not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -49,6 +51,11 @@ from .sampler import RngStream, container_volume, sample_block_beta, verify_samp
 DEFAULT_BUDGET = 1e9          # sum over the grid of n * reps * d!
 RETRY_STRIDE = 2 ** 40        # substream offset when a degenerate draw retries
 MAX_RETRIES = 5
+# The sampler suite is the critical path of "verify --suite all"; its numpy
+# draws, sorts and betainc release the GIL, so one more thread runs the
+# other suites beside it.  A third would hold a third suite's Monte Carlo
+# arrays at once and gain no speed.
+VERIFY_WORKERS = 2
 
 CONFIG_KEYS = {
     "name", "block_dims", "betas", "n_grid", "reps", "root_seed", "observables",
@@ -405,8 +412,9 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-# name -> (seed, trials, samples) -> reports; "verify --suite all" runs them
-# in this order
+# name -> (seed, trials, samples) -> reports; "verify --suite all" prints
+# them in this order.  Suites run on concurrent threads, so each draws from
+# its own stream and shares no mutable state with another.
 SUITES = {
     "sampler": lambda seed, trials, samples: [verify_sampler(seed, samples)],
     "hull": lambda seed, trials, samples: [verify_hull(seed, trials)],
@@ -442,8 +450,17 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.seed < 2 ** 64:
         raise ConfigError(f"--seed must fit in u64, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [rep for name in names
-               for rep in SUITES[name](args.seed, args.trials, args.samples)]
+
+    def run(name):
+        return SUITES[name](args.seed, args.trials, args.samples)
+
+    pool = ThreadPoolExecutor(VERIFY_WORKERS)
+    try:
+        # map yields in registry order and re-raises the first failing
+        # suite's exception, as running them one after another would
+        reports = [rep for reps in pool.map(run, names) for rep in reps]
+    finally:
+        pool.shutdown(cancel_futures=True)    # after a crash, start no more suites
     for rep in reports:
         print(rep)
     return 0 if all(rep.passed for rep in reports) else 1

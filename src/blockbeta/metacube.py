@@ -534,6 +534,7 @@ def verify_polyspherical(
     w_full = gen.standard_normal((n_samples, d))
     w_full /= np.linalg.norm(w_full, axis=1, keepdims=True)
     vals_l = f(w_full) * sphere_area(d)
+    del w_full
 
     v = np.abs(gen.standard_normal((n_samples, m)))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -543,6 +544,7 @@ def verify_polyspherical(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         blocks.append(v[:, i:i + 1] * u)
     w_made = np.concatenate(blocks, axis=1)
+    del blocks
     weight = np.prod(v ** (np.asarray(bs.dims) - 1.0), axis=1)
     measure = (sphere_area(m) / 2.0 ** m) * float(
         np.prod([sphere_area(di) for di in bs.dims])
@@ -571,10 +573,10 @@ def _square_chord(w: np.ndarray, s: np.ndarray):
         # near-parallel slab: the line misses or lies inside it outright
         tiny = np.abs(a) < 1e-12
         inside = np.abs(b) <= 1.0
-        lo_j = np.where(tiny, np.where(inside, -np.inf, np.inf), lo_j)
-        hi_j = np.where(tiny, np.where(inside, np.inf, -np.inf), hi_j)
-        lo = np.maximum(lo, lo_j)
-        hi = np.minimum(hi, hi_j)
+        lo_j[tiny] = np.where(inside[tiny], -np.inf, np.inf)
+        hi_j[tiny] = np.where(inside[tiny], np.inf, -np.inf)
+        np.maximum(lo, lo_j, out=lo)
+        np.minimum(hi, hi_j, out=hi)
     return lo, hi, wp
 
 
@@ -609,21 +611,28 @@ def verify_blaschke_petkantschin_2d(
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))
     vals_l = 16.0 * _bp_f(test_fn_id, x1, x2)
+    del x1, x2
 
+    # each array is dropped once used; the draws keep their order
+    # (theta, s, then the two chord points)
     theta = gen.uniform(0.0, 2.0 * math.pi, size=n)
     w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    del theta
     s = gen.uniform(-2.0, 2.0, size=n)
-    u1 = gen.uniform(0.0, 1.0, size=n)
-    u2 = gen.uniform(0.0, 1.0, size=n)
     lo, hi, wp = _square_chord(w, s)
-    length = np.clip(hi - lo, 0.0, None)
-    ok = length > 0
-    t1 = lo + u1 * length
-    t2 = lo + u2 * length
     base = s[:, None] * w
+    del w, s
+    length = np.clip(hi - lo, 0.0, None)
+    del hi
+    ok = length > 0
+    t1 = lo + gen.uniform(0.0, 1.0, size=n) * length
+    t2 = lo + gen.uniform(0.0, 1.0, size=n) * length
+    del lo
     y1 = base + t1[:, None] * wp
     y2 = base + t2[:, None] * wp
+    del base, wp
     f_vals = np.where(ok, _bp_f(test_fn_id, y1, y2), 0.0)
+    del y1, y2
     # densities: 1/(2 pi) for direction, 1/4 for s, 1/L per chord point;
     # integrand carries |t1 - t2| Vol_1 and the 1/2 orientation factor
     vals_r = np.where(

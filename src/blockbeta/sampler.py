@@ -95,7 +95,8 @@ def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     dirs = gen.standard_normal((n, law.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.sqrt(gen.beta(law.dim / 2.0, float(law.beta) + 1.0, size=n))
-    return dirs * radii[:, None]
+    dirs *= radii[:, None]
+    return dirs
 
 
 def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.ndarray:
@@ -117,7 +118,8 @@ def verify_sampler(seed: int, n_samples: int) -> Report:
     for k in (1, 2, 3, 4):
         for beta in (0.0, 0.5, 2.0):
             pts = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
-            tsq = np.sum(pts ** 2, axis=1)
+            tsq = np.sum(np.square(pts, out=pts), axis=1)
+            del pts
             res = stats.kstest(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
             rep.add(Check(
                 name=f"radial_law[k={k},beta={beta}]",
@@ -127,10 +129,13 @@ def verify_sampler(seed: int, n_samples: int) -> Report:
     # projecting the uniform ball law down k dimensions matches beta=(gap)/2
     for k, full in ((2, 4), (3, 5)):
         beta = (full - k) / 2.0
+        # each cloud is reduced to its radii before the next is drawn
         direct = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
-        lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
         r1 = np.linalg.norm(direct, axis=1)
+        del direct
+        lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
         r2 = np.linalg.norm(lifted[:, :k], axis=1)
+        del lifted
         res = stats.ks_2samp(r1, r2)
         rep.add(Check(
             name=f"projection[k={k},from={full}]",

@@ -10,6 +10,7 @@ the fit and the local slopes from its own rows.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -107,16 +108,23 @@ def test_primary_03_sampler_law():
 
 
 def test_primary_04_reduction():
-    total = passed = 0
-    for ci, dims in enumerate(((2, 1), (2, 2), (3, 1), (1, 1, 1))):
-        bs = BlockStructure(dims)
-        for bi, beta in enumerate((0.0, 0.5)):
-            bp = BetaParams(tuple(beta for _ in dims))
-            rep = verify_reduction(
-                bs, bp, trials=50, n_samples=1_000_000, rng=RngStream(404, ci * 2 + bi)
-            )
-            total += len(rep.checks)
-            passed += sum(c.passed for c in rep.checks)
+    cases = [(ci, dims, bi, beta)
+             for ci, dims in enumerate(((2, 1), (2, 2), (3, 1), (1, 1, 1)))
+             for bi, beta in enumerate((0.0, 0.5))]
+
+    def run(case):
+        ci, dims, bi, beta = case
+        return verify_reduction(
+            BlockStructure(dims), BetaParams(tuple(beta for _ in dims)),
+            trials=50, n_samples=1_000_000, rng=RngStream(404, ci * 2 + bi),
+        )
+
+    # each case draws from its own stream, and the pass count is a sum, so
+    # two threads (Monte Carlo beside quadrature) give the serial verdict
+    with ThreadPoolExecutor(2) as pool:
+        checks = [c for rep in pool.map(run, cases) for c in rep.checks]
+    total = len(checks)
+    passed = sum(c.passed for c in checks)
     frac = passed / total
     _verdict("PRIMARY-04", frac >= 0.98, f"{passed}/{total} halfspace masses within 3 sigma")
     assert frac >= 0.98, f"pass fraction {frac:.3f} below 0.98"

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,6 +181,19 @@ def test_rate_fit_is_frozen_record():
     assert isinstance(fit, RateFit)
     with pytest.raises(AttributeError):
         fit.exponent = 0.1
+
+
+def test_aw_numeric_is_the_same_from_two_threads():
+    cases = [(2.0,), (2.0, 1.0), (3.0, 2.0, 1.0), (1.0, 1.0)]
+    serial = [aw_integral_numeric(a, 1e6) for a in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # hand the GIL over as often as possible
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(lambda a: aw_integral_numeric(a, 1e6), cases))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # --- vertex-count identity ----------------------------------------------

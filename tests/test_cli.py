@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from blockbeta.cli import (
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.hull import DegenerateInput
 from blockbeta.metacube import QuadratureError
+from blockbeta.report import Check, Report
 
 
 def make_config(**overrides):
@@ -436,6 +438,30 @@ def test_verify_all_runs_each_suite_in_registry_order(capsys):
         assert main(["verify", "--suite", name, *small]) == 0
         alone.append(capsys.readouterr().out)
     assert together == "".join(alone)
+
+
+def test_verify_all_with_a_crashing_suite_exits_3_and_prints_no_report(monkeypatch, capsys):
+    def no_convergence(seed, trials, samples):
+        raise QuadratureError("did not converge", best=0.5, err=0.1)
+
+    monkeypatch.setitem(SUITES, "bp2d", no_convergence)
+    assert main(["verify", "--suite", "all", "--samples", "4000", "--trials", "20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: QuadratureError: did not converge\n"
+
+
+def test_verify_all_prints_a_failing_report_in_registry_order(monkeypatch, capsys):
+    def slow_failure(seed, trials, samples):
+        time.sleep(0.2)             # the other thread's suites finish first
+        rep = Report(title="forced failure")
+        rep.add(Check("always", 1.0, 0.0, "z", 9.0, passed=False))
+        return [rep]
+
+    monkeypatch.setitem(SUITES, "sampler", slow_failure)
+    assert main(["verify", "--suite", "all", "--samples", "4000", "--trials", "20"]) == 1
+    want = "".join(f"{rep}\n" for name in SUITES for rep in SUITES[name](0, 20, 4000))
+    assert capsys.readouterr().out == want
 
 
 def test_main_plot(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -315,6 +317,30 @@ def test_section_thin_corner_m3():
         got = section_content_meta(MetaCap(v, one - gap), betas)
         assert got == pytest.approx(diff, rel=1e-3)
         assert got > 0.0
+
+
+def test_caps_and_sections_are_the_same_from_two_threads():
+    # verify runs its suites on two threads: quadrature from one thread
+    # must not disturb the other's
+    gen = np.random.default_rng(8)
+    cases = []
+    for k in range(40):
+        m = 1 + k % 3
+        v = np.abs(gen.standard_normal(m)) + 0.1
+        v /= np.linalg.norm(v)
+        s = gen.uniform(-1.0, 1.0) * float(v.sum())
+        betas = [float(b) for b in gen.choice([0.0, 0.5, 1.0], size=m)]
+        cases.append((MetaCap(v, s), betas))
+    for content in (cap_content_meta, section_content_meta):
+        serial = [content(cap, betas) for cap, betas in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # hand the GIL over as often as possible
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                threaded = list(pool.map(lambda case: content(*case), cases))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 # --- reduction ----------------------------------------------------------

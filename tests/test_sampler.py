@@ -65,6 +65,19 @@ def test_rng_stream_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_scaling_directions_in_place_keeps_every_bit(k, beta):
+    # the reference makes the same generator calls and scales into a new array
+    ref_gen = RngStream(17, k).generator()
+    dirs = ref_gen.standard_normal((1000, k))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.sqrt(ref_gen.beta(k / 2.0, beta + 1.0, size=1000))
+    want = dirs * radii[:, None]
+    got = sample_beta_ball(BetaBallLaw(k, beta), RngStream(17, k), size=1000)
+    assert np.array_equal(got, want)
+
+
 def test_as_generator_rejects_ints():
     with pytest.raises(TypeError):
         as_generator(12345)
