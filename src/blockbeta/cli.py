@@ -9,13 +9,16 @@ Subcommands:
 
 A run is configured by a single JSON document and writes a record
 directory containing raw.csv (one row per hull) plus record.json
-(config, hash, aggregates, retried rows per n).  Every replication
-goes through replicate, which draws from the named random stream
-(root_seed, stream index), so output is byte-identical for any worker
-count.
-verify runs the suites of the SUITES registry on VERIFY_WORKERS threads
-and prints their reports in registry order; each suite draws from its
-own random stream, so the output does not depend on the schedule.
+(config, hash, aggregates, retried rows per n, worker count, peak
+RSS).  Every replication goes through replicate, which draws from the
+named random stream (root_seed, stream index); replicate_rows runs the
+rows on WORKERS threads, largest n first, and returns them in row order,
+so output is byte-identical for any worker count.  Each thread holds one
+replication's point cloud and hull at a time; --workers 1 holds one in
+all, for runs at n >= 10^6.
+verify runs the suites of the SUITES registry on WORKERS threads and
+prints their reports in registry order; each suite draws from its own
+random stream, so the output does not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +54,11 @@ from .sampler import RngStream, container_volume, sample_block_beta, verify_samp
 DEFAULT_BUDGET = 1e9          # sum over the grid of n * reps * d!
 RETRY_STRIDE = 2 ** 40        # substream offset when a degenerate draw retries
 MAX_RETRIES = 5
-# The sampler suite is the critical path of "verify --suite all"; its numpy
-# draws, sorts and betainc release the GIL, so one more thread runs the
-# other suites beside it.  A third would hold a third suite's Monte Carlo
-# arrays at once and gain no speed.
-VERIFY_WORKERS = 2
+# Threads for simulate's replications and verify's suites.  qhull, numpy's
+# draws and sorts and betainc release the GIL, so a second thread runs
+# beside the first on two cores; a third would hold a third replication's
+# (or suite's) arrays at once and gain no speed.
+WORKERS = 2
 
 CONFIG_KEYS = {
     "name", "block_dims", "betas", "n_grid", "reps", "root_seed", "observables",
@@ -205,9 +208,38 @@ def replicate(bs: BlockStructure, bp: BetaParams, n: int, root_seed: int,
     ) from last_exc
 
 
-def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
+def replicate_rows(bs: BlockStructure, bp: BetaParams, ns, root_seed: int,
+                   first_stream: int = 0, want_volume: bool = False,
+                   workers: int = WORKERS) -> list:
+    """replicate for each n of ns, row i on stream first_stream + i.
+
+    The rows run on a pool of workers threads, largest n first, so the
+    costliest rows do not start last; the results come back in row order.
+    If rows fail, the error of the first failing row in row order is raised.
+    """
+    # sorted is stable: rows of equal n keep their order
+    order = sorted(range(len(ns)), key=lambda i: -ns[i])
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = {i: pool.submit(replicate, bs, bp, ns[i], root_seed, first_stream + i,
+                                  want_volume) for i in order}
+        return [futures[i].result() for i in range(len(ns))]
+    finally:
+        pool.shutdown(cancel_futures=True)    # after a crash, start no more rows
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    # ru_maxrss counts bytes on macOS and KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2 ** 20 if sys.platform == "darwin" else peak / 1024
+
+
+def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
              budget: float = DEFAULT_BUDGET) -> Path:
-    """Run the configured experiment and write its record directory."""
+    """Run the configured experiment on workers threads and write its record directory."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     cost = config.cost()
     if cost > budget:
         raise BudgetExceeded(
@@ -218,15 +250,10 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
     want_volume = "volume_deficit" in config.observables
     # rows in (n, rep) order; row i_n * reps + rep draws from that stream index
     ns = [n for n in config.n_grid for _ in range(config.reps)]
-    args = (repeat(bs), repeat(config.beta_params()), ns, repeat(config.root_seed),
-            range(len(ns)), repeat(want_volume))
 
     t0 = time.monotonic()
-    if workers <= 1:
-        results = list(map(replicate, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(replicate, *args, chunksize=8))
+    results = replicate_rows(bs, config.beta_params(), ns, config.root_seed,
+                             want_volume=want_volume, workers=workers)
     wall = time.monotonic() - t0
 
     raw = np.array([
@@ -248,6 +275,8 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = 1,
         "config_hash": config.config_hash(),
         "version": __version__,
         "wall_seconds": wall,
+        "workers": workers,
+        "peak_rss_mb": _peak_rss_mb(),
         "csv": "raw.csv",
         "aggregates": recompute_aggregates(config, raw),
         # rows per n drawn from a retry substream
@@ -454,7 +483,7 @@ def _cmd_verify(args) -> int:
     def run(name):
         return SUITES[name](args.seed, args.trials, args.samples)
 
-    pool = ThreadPoolExecutor(VERIFY_WORKERS)
+    pool = ThreadPoolExecutor(WORKERS)
     try:
         # map yields in registry order and re-raises the first failing
         # suite's exception, as running them one after another would
@@ -516,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to the JSON config")
     p.add_argument("--out", default=out_default, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override root_seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=WORKERS,
+                   help=f"replication threads (default {WORKERS}); each holds one "
+                        "point cloud and its hull")
     p.add_argument("--budget-override", type=float, default=None,
                    help="replace the default cost budget")
     p.set_defaults(func=_cmd_simulate)

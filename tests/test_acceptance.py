@@ -17,7 +17,7 @@ import pytest
 from scipy import special, stats
 
 from blockbeta.asymptotics import aw_asymptotic, aw_integral_numeric, efron_check, fit_rate
-from blockbeta.cli import ExperimentConfig, default_n_grid, replicate, simulate
+from blockbeta.cli import ExperimentConfig, default_n_grid, replicate_rows, simulate
 from blockbeta.core import BlockStructure, BetaParams, predict_rate
 from blockbeta.hull import (
     brute_force_facets,
@@ -191,13 +191,14 @@ def _fit_f0(dims, root_seed: int, container_index: int):
     bs = BlockStructure(dims)
     bp = BetaParams.uniform(bs.m)
     pred = predict_rate(bs, bp)
+    # rep r at grid point i_n draws from stream
+    # (container_index * len(GRID) + i_n) * REPS + r, as simulate numbers its rows
+    results = replicate_rows(bs, bp, [n for n in GRID for _ in range(REPS)], root_seed,
+                             first_stream=container_index * len(GRID) * REPS)
     rows = []
     for i_n, n in enumerate(GRID):
-        base = (container_index * len(GRID) + i_n) * REPS
-        v = np.asarray(
-            [replicate(bs, bp, n, root_seed, base + rep)[0][0] for rep in range(REPS)],
-            dtype=float,
-        )
+        v = np.asarray([fv[0] for fv, _, _ in results[i_n * REPS:(i_n + 1) * REPS]],
+                       dtype=float)
         rows.append((float(n), v.mean(), v.std(ddof=1) / math.sqrt(REPS)))
     fit = fit_rate(np.asarray(rows), pred.log_power, model="fixed")
     return pred, fit, np.asarray(rows)

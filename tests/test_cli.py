@@ -1,7 +1,10 @@
 import json
-import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +132,8 @@ def test_simulate_record_layout(tmp_path):
     assert len(raw) == 1 + len(cfg.n_grid) * cfg.reps
     record = json.loads((record_dir / "record.json").read_text())
     assert record["config_hash"] == cfg.config_hash()
+    assert record["workers"] == cli.WORKERS
+    assert 0 < record["peak_rss_mb"] < 2 ** 20
     agg = record["aggregates"]
     assert agg["n"] == [20, 40]
     assert len(agg["f_0"]["mean"]) == 2
@@ -142,10 +147,23 @@ def test_simulate_without_volume_leaves_column_empty(tmp_path):
 
 
 def test_simulate_deterministic_across_workers(tmp_path):
-    cfg = make_config(name="w1")
-    d1 = simulate(cfg, tmp_path / "a", workers=1)
-    d2 = simulate(cfg, tmp_path / "b", workers=2)
-    assert (d1 / "raw.csv").read_bytes() == (d2 / "raw.csv").read_bytes()
+    # largest n first runs rows 3-5, then 6-8, then 0-2: not row order
+    cfg = make_config(name="w1", n_grid=[20, 60, 40], reps=3,
+                      observables=["f_vector", "volume_deficit"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # hand the GIL over as often as possible
+    try:
+        dirs = [simulate(cfg, tmp_path / str(w), workers=w) for w in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    raw_bytes = [(d / "raw.csv").read_bytes() for d in dirs]
+    assert raw_bytes[0] == raw_bytes[1] == raw_bytes[2]
+    # row i holds replicate on stream i, as a row-order loop would write it
+    _, raw = load_record(dirs[0])
+    for i, n in enumerate([20] * 3 + [60] * 3 + [40] * 3):
+        fv, deficit, stream = replicate(cfg.structure(), cfg.beta_params(), n, 5, i,
+                                        want_volume=True)
+        assert list(raw[i]) == [n, i % 3, *fv, deficit, stream]
 
 
 def test_simulate_budget_guard(tmp_path):
@@ -204,31 +222,38 @@ def test_replicate_does_not_retry_other_errors(monkeypatch):
     assert calls == [20]
 
 
+def flat_on_stream(monkeypatch, index):
+    """Make cli's sampler return a flat cloud on one stream index; returns
+    the list of (stream index, size) pairs the sampler is called with."""
+    real_sample = cli.sample_block_beta
+    calls = []
+
+    def sample(bs, bp, rng, size):
+        calls.append((rng.stream_index, size))
+        pts = real_sample(bs, bp, rng, size=size)
+        return np.zeros_like(pts) if rng.stream_index == index else pts
+
+    monkeypatch.setattr(cli, "sample_block_beta", sample)
+    return calls
+
+
 def test_record_counts_retried_rows_per_n(tmp_path, monkeypatch):
     plain = json.loads((simulate(make_config(), tmp_path / "plain") / "record.json").read_text())
     assert plain["retries"] == {"n": [20, 40], "rows": [0, 0]}
 
-    calls = degenerate_once(monkeypatch)
+    calls = flat_on_stream(monkeypatch, 0)
     record_dir = simulate(make_config(), tmp_path / "retried")
-    assert calls[:2] == [20, 20]
+    assert (0, 20) in calls and (RETRY_STRIDE, 20) in calls
     record = json.loads((record_dir / "record.json").read_text())
     assert record["retries"] == {"n": [20, 40], "rows": [1, 0]}
     _, raw = load_record(record_dir)
     assert raw[0, -1] == RETRY_STRIDE and (raw[1:, -1] < RETRY_STRIDE).all()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers must inherit the patched sampler")
 def test_retry_is_deterministic_across_workers(tmp_path, monkeypatch):
-    # stream 9 draws a flat cloud; 12 rows make two chunks of the pool
-    # map, so the retried row is built in a worker of its own
-    real_sample = cli.sample_block_beta
-
-    def flat_on_stream_9(bs, bp, rng, size):
-        pts = real_sample(bs, bp, rng, size=size)
-        return np.zeros_like(pts) if rng.stream_index == 9 else pts
-
-    monkeypatch.setattr(cli, "sample_block_beta", flat_on_stream_9)
+    # stream 9 draws a flat cloud; on two threads its retries run beside
+    # other rows, and the n = 40 rows (among them row 9) run first
+    flat_on_stream(monkeypatch, 9)
     cfg = make_config(reps=6)
     d1 = simulate(cfg, tmp_path / "a", workers=1)
     d2 = simulate(cfg, tmp_path / "b", workers=2)
@@ -242,6 +267,36 @@ def test_retry_is_deterministic_across_workers(tmp_path, monkeypatch):
     monkeypatch.undo()
     fv, _, _ = replicate(cfg.structure(), cfg.beta_params(), 40, 5, 9 + RETRY_STRIDE)
     assert list(raw[9, 2:2 + len(fv)]) == list(fv)
+
+
+def fail_on_streams(monkeypatch, slow, fast):
+    """Make cli's sampler raise a RuntimeError naming the stream on the two
+    given stream indices, the first after a pause."""
+    real_sample = cli.sample_block_beta
+
+    def sample(bs, bp, rng, size):
+        if rng.stream_index == slow:
+            time.sleep(0.2)             # the other failure comes first in time
+        if rng.stream_index in (slow, fast):
+            raise RuntimeError(f"bug on stream {rng.stream_index}")
+        return real_sample(bs, bp, rng, size=size)
+
+    monkeypatch.setattr(cli, "sample_block_beta", sample)
+
+
+def test_simulate_raises_the_first_failing_row_in_row_order(tmp_path, monkeypatch):
+    # rows 3-5 (n = 40) start first; row 4 fails before row 1 does
+    fail_on_streams(monkeypatch, slow=1, fast=4)
+    with pytest.raises(RuntimeError, match="^bug on stream 1$"):
+        simulate(make_config(reps=3), tmp_path, workers=2)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, blockbeta.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 def test_load_record_rejects_missing_rows(tmp_path):
@@ -318,6 +373,15 @@ def test_main_internal_error_exits_3(monkeypatch, capsys):
     assert err == "error: internal: QuadratureError: did not converge\n"
 
 
+def test_main_simulate_crash_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    fail_on_streams(monkeypatch, slow=1, fast=4)
+    cfg = write_config(tmp_path, n_grid=[10, 20], reps=3)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: bug on stream 1\n"
+
+
 def test_main_fit_insufficient_span_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -355,6 +419,7 @@ NEGATIVE_BETA_CONFIG = {
     (["verify", "--suite", "sampler", "--seed", "-1"], None),
     # a (file, text) pair replaces that file of the record
     (["fit"], ("raw.csv", "n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,abc,4,,0\n")),
+    (["simulate", "--workers", "0"], json.dumps({"block_dims": [2], "n_grid": [10], "reps": 1})),
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
