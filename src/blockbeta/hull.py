@@ -12,8 +12,17 @@ first renumbered to [0, f_0); each k-subset of a facet row is then
 packed into one int64 key in base f_0, the keys are sorted, and
 distinct faces are the positions where adjacent keys differ.  When
 f_0**k does not fit in 63 bits the k-subsets are sorted as rows with
-np.lexsort and compared row by row instead.  Dedup sorts the rounded
-points as opaque byte strings (a void view), one key per point.
+np.lexsort and compared row by row instead.
+
+Dedup rounds the cloud to DEDUP_DECIMALS one column at a time and
+mixes the column bits into one uint64 hash key per point, then
+stable-sorts the keys.  Distinct keys (the rule for continuous draws,
+bar a 64-bit collision) mean distinct points, so nothing is merged and
+the caller's array goes to qhull as it is, with no copy.  Equal keys are checked against
+the rounded rows; only if some run of equal keys holds different rows
+does dedup fall back to sorting the rounded rows as opaque byte strings
+(a void view).  Either way the representative of each group of equal
+rounded points is its first occurrence.
 
 brute_force_facets is an independent oracle: it enumerates all d-point
 subsets and keeps those whose hyperplane has every remaining point
@@ -39,6 +48,9 @@ from .report import Check, Report
 DEDUP_DECIMALS = 12          # points equal after rounding here are merged
 CONTAINS_TOL = 1e-9
 BRUTE_FORCE_MAX_POINTS = 25
+# row-key mixing: an odd multiplier (2**64 / golden ratio) and a shift
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_KEY_SHIFT = np.uint64(31)
 
 
 class DegenerateInput(ValueError):
@@ -56,14 +68,56 @@ class HullResult:
     interior_point: np.ndarray
 
 
-def _dedup(pts: np.ndarray) -> np.ndarray:
-    """Indices of representatives after merging near-duplicates."""
-    # +0.0 normalizes -0.0 so the rounding key is sign-stable; with no
-    # -0.0 and no NaN, equal bytes are equal floats
-    keys = np.ascontiguousarray(np.round(pts, DEDUP_DECIMALS) + 0.0)
+def _row_keys(pts: np.ndarray) -> np.ndarray:
+    """One uint64 hash per row of the rounded cloud; equal rows get equal keys.
+
+    The columns are rounded one at a time, so no rounded copy of the
+    whole cloud is made, and mixed into the key by multiply and
+    xor-shift steps.  +0.0 normalizes -0.0 before the bits are read.
+    """
+    keys = np.zeros(len(pts), dtype=np.uint64)
+    for j in range(pts.shape[1]):
+        col = np.round(pts[:, j], DEDUP_DECIMALS)
+        col += 0.0
+        keys ^= col.view(np.uint64)
+        del col
+        keys *= _KEY_MULTIPLIER
+        keys ^= keys >> _KEY_SHIFT
+    return keys
+
+
+def _rounded(pts: np.ndarray) -> np.ndarray:
+    """Bits of the rows rounded to the dedup grid, -0.0 made +0.0."""
+    return (np.round(pts, DEDUP_DECIMALS) + 0.0).view(np.uint64)
+
+
+def _dedup_exact(pts: np.ndarray) -> np.ndarray:
+    """Indices of representatives, sorting the rounded rows as byte strings."""
+    # with no -0.0 and no NaN, equal bytes are equal floats
+    keys = np.ascontiguousarray(_rounded(pts))
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first = np.unique(rows, return_index=True)
     return np.sort(first)
+
+
+def _dedup(pts: np.ndarray) -> np.ndarray:
+    """Indices of representatives after merging near-duplicates.
+
+    Rows are sorted by their hash key (stable, so each run of equal
+    keys starts at its smallest index).  When every run holds equal
+    rounded rows, its first index is the representative; when a run
+    mixes different rows, _dedup_exact decides.
+    """
+    keys = _row_keys(pts)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tied = keys[1:] == keys[:-1]
+    del keys
+    if not tied.any():
+        return np.arange(len(pts))
+    if not np.array_equal(_rounded(pts[order[:-1][tied]]), _rounded(pts[order[1:][tied]])):
+        return _dedup_exact(pts)
+    return np.sort(np.concatenate((order[:1], order[1:][~tied])))
 
 
 def convex_hull(points) -> HullResult:
@@ -84,7 +138,7 @@ def convex_hull(points) -> HullResult:
         raise ValueError("points must be finite")
 
     keep = _dedup(pts)
-    core = pts[keep]
+    core = pts if len(keep) == n else pts[keep]   # no copy when nothing merged
     if len(core) < d + 1:
         raise DegenerateInput(
             f"{len(core)} distinct points cannot span dimension {d}"
@@ -189,8 +243,8 @@ def f_vector(hull: HullResult) -> tuple[int, ...]:
 
 def volume(hull: HullResult) -> float:
     """Hull volume: sum of simplex cones from an interior point."""
-    verts = hull.points[hull.facet_vertices]          # (nf, d, d)
-    rel = verts - hull.interior_point
+    rel = hull.points[hull.facet_vertices]            # (nf, d, d)
+    rel -= hull.interior_point
     dets = np.linalg.det(rel)
     return float(np.abs(dets).sum() / math.factorial(hull.dim))
 

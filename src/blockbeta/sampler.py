@@ -93,7 +93,8 @@ def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     gen = as_generator(rng)
     n = int(size)
     dirs = gen.standard_normal((n, law.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # np.linalg.norm's own operations, without its conj() copy of dirs
+    dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))
     radii = np.sqrt(gen.beta(law.dim / 2.0, float(law.beta) + 1.0, size=n))
     dirs *= radii[:, None]
     return dirs
@@ -108,7 +109,7 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
         sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=size)
         for d, b in zip(bs.dims, bp.betas)
     ]
-    return np.concatenate(parts, axis=1)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def verify_sampler(seed: int, n_samples: int) -> Report:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings, strategies as st
 
 import blockbeta.cli as cli
@@ -134,6 +137,8 @@ def test_simulate_record_layout(tmp_path):
     assert record["config_hash"] == cfg.config_hash()
     assert record["workers"] == cli.WORKERS
     assert 0 < record["peak_rss_mb"] < 2 ** 20
+    assert record["versions"] == {"python": platform.python_version(),
+                                  "numpy": np.__version__, "scipy": scipy.__version__}
     agg = record["aggregates"]
     assert agg["n"] == [20, 40]
     assert len(agg["f_0"]["mean"]) == 2
@@ -164,6 +169,23 @@ def test_simulate_deterministic_across_workers(tmp_path):
         fv, deficit, stream = replicate(cfg.structure(), cfg.beta_params(), n, 5, i,
                                         want_volume=True)
         assert list(raw[i]) == [n, i % 3, *fv, deficit, stream]
+
+
+# sha256 of raw.csv for PINNED_CONFIG: pins the bits of the m > 1 sample,
+# dedup and volume deficit, which no benchmark digest covers
+PINNED_CONFIG = {
+    "name": "pin", "block_dims": [2, 1, 1], "betas": [0, 0, 0],
+    "n_grid": [100, 1000, 10000], "reps": 2, "root_seed": 0,
+    "observables": ["f_vector", "volume_deficit"],
+}
+PINNED_RAW_SHA256 = "0c7fd413cb88b32a0ac5a38e7f3e1384df3e55011c779ac99f22928a331ce78d"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raw_csv_bits_are_pinned(tmp_path, workers):
+    record_dir = simulate(ExperimentConfig.from_dict(PINNED_CONFIG), tmp_path, workers=workers)
+    digest = hashlib.sha256((record_dir / "raw.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_RAW_SHA256
 
 
 def test_simulate_budget_guard(tmp_path):
@@ -354,13 +376,29 @@ def test_main_fit_prints_local_slopes_of_a_known_power_law(tmp_path, capsys):
             lines.append(f"{n},{rep},{f},{f},,{2 * i + rep}")
     (record_dir / "raw.csv").write_text("\n".join(lines) + "\n")
 
-    assert main(["fit", "--record", str(record_dir)]) == 0
-    out = capsys.readouterr().out.strip().split("\n")
-    assert out[-2].startswith("fitted (free)")
-    label, _, values = out[-1].partition(": ")
-    assert label == "local slopes"
-    slopes = [float(x) for x in values.split()]
-    assert slopes == pytest.approx([0.37] * (len(grid) - 1), abs=1e-4)
+    def local_slopes(argv):
+        assert main(["fit", "--record", str(record_dir), *argv]) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert out[-2].startswith("fitted (free)")
+        label, _, values = out[-1].partition(": ")
+        assert label == "local slopes"
+        return out, [[float(v) for v in x.split("+-")] for x in values.split()]
+
+    out, slopes = local_slopes([])
+    assert "rows: n = 100 .. 30000 (6 of 6 grid points)" in out
+    assert [s for s, _ in slopes] == pytest.approx([0.37] * (len(grid) - 1), abs=1e-4)
+    # delta method: each mean has se/mean = 0.01, so the slope over a factor
+    # r in n has se sqrt(2) * 0.01 / ln r (printed to 2 digits)
+    ratios = np.array(grid[1:]) / np.array(grid[:-1])
+    assert [e for _, e in slopes] == pytest.approx(0.01 * np.sqrt(2) / np.log(ratios), rel=0.05)
+
+    # --n-min fits the top of the grid only
+    out, top = local_slopes(["--n-min", "300"])
+    assert "rows: n = 300 .. 30000 (5 of 6 grid points)" in out
+    assert top == slopes[1:]
+    assert main(["fit", "--record", str(record_dir), "--n-min", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need >= 5 distinct n values, got 4\n"
 
 
 def test_main_internal_error_exits_3(monkeypatch, capsys):

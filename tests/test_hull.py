@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blockbeta.hull as hull_module
 from blockbeta.hull import (
     DegenerateInput,
     HullResult,
@@ -239,7 +242,14 @@ def test_dedup_keeps_first_occurrences(d, n, seed, kind):
     else:
         pts[:, -1] = 0.5                  # flat: lies in a hyperplane
     pts = pts[gen.permutation(len(pts))]
-    assert _dedup(pts).tolist() == reference_first_occurrences(pts)
+    expected = reference_first_occurrences(pts)
+    assert _dedup(pts).tolist() == expected
+    # keys that collide across different rows must fall back to the exact path
+    row_keys = hull_module._row_keys
+    for colliding in (lambda p: np.zeros(len(p), dtype=np.uint64),     # all equal
+                      lambda p: row_keys(p) % np.uint64(3)):           # partly equal
+        with mock.patch.object(hull_module, "_row_keys", colliding):
+            assert _dedup(pts).tolist() == expected
     if kind == "flat":                    # d = 1: a single distinct point
         with pytest.raises(DegenerateInput):
             convex_hull(pts)
@@ -248,6 +258,24 @@ def test_dedup_keeps_first_occurrences(d, n, seed, kind):
 def test_dedup_merges_signed_zeros_and_sub_grid_offsets():
     pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1e-13, 1.0], [0.0, 1.0 + 4e-13], [1.0, 0.0]])
     assert _dedup(pts).tolist() == reference_first_occurrences(pts) == [0, 4]
+
+
+def traced_peak(fn, arg):
+    """Peak of numpy/Python allocations while fn(arg) runs, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dedup_and_hull_stay_within_their_memory_budget():
+    # no whole-cloud rounded copy in _dedup, no pts[keep] copy when nothing merged
+    pts = np.random.default_rng(0).standard_normal((100_000, 4))
+    assert traced_peak(_dedup, pts) < 2 * pts.nbytes
+    assert traced_peak(convex_hull, pts) < 3 * pts.nbytes
 
 
 def test_lower_face_coefficient_values():
