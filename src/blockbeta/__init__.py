@@ -51,6 +51,7 @@ from .asymptotics import (
     aw_integral_numeric,
     efron_check,
     fit_rate,
+    local_slopes,
 )
 from .report import Check, Report
 

@@ -14,7 +14,8 @@ where W(u) is the elementary outer integral (closed form for m <= 3).
 Its leading term is Gamma(a_l+1) n^-(a_l+1) (ln n)^(m-l) divided by
 (m-l)! prod_{i<l} (a_i - a_l), with l the first index tied with a_m.
 
-fit_rate estimates growth exponents from simulated means; efron_check
+fit_rate estimates growth exponents from simulated means and
+local_slopes their adjacent-row log-log slopes; efron_check
 tests the exact identity E f_0(hull of n) = n (1 - E vol ratio of n-1)
 for uniform sampling, both sides by independent Monte Carlo; verify_aw
 holds numeric/asymptotic ratios of I(n) to their known approach rates.
@@ -139,13 +140,12 @@ def aw_asymptotic(a, n: float) -> float:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Fitted growth law mean ~ exp(log_coeff) n^exponent (ln n)^log_power."""
+    """Fitted growth law mean ~ exp(log_coeff) n^exponent (ln n)^p, for the
+    log power p the fit was given."""
 
     exponent: float
     exponent_se: float
     log_coeff: float
-    log_power: float
-    model: str
     r_squared: float
 
 
@@ -162,14 +162,12 @@ def _as_triples(data) -> np.ndarray:
     return arr
 
 
-def fit_rate(data, log_power: int, model: str = "fixed") -> RateFit:
+def fit_rate(data, log_power: int) -> RateFit:
     """Weighted least squares for the growth exponent of mean counts.
 
-    data: triples (n, mean, se).  With model="fixed" the (ln n) power is
-    pinned to log_power and only slope and intercept are free;
-    model="free" also fits the (ln ln n) coefficient, as a diagnostic.
-    Weights are 1/se^2 on the log scale; rows with se == 0 switch the
-    fit to unweighted.
+    data: triples (n, mean, se).  The (ln n) power is pinned to
+    log_power, so only slope and intercept are free.  Weights are 1/se^2
+    on the log scale; rows with se == 0 switch the fit to unweighted.
     """
     arr = _as_triples(data)
     ns = np.unique(arr[:, 0])
@@ -181,19 +179,8 @@ def fit_rate(data, log_power: int, model: str = "fixed") -> RateFit:
 
     n, mean, se = arr[:, 0], arr[:, 1], arr[:, 2]
     ln_n = np.log(n)
-    ln_ln_n = np.log(np.log(n))
-    y = np.log(mean)
-
-    if model == "fixed":
-        y = y - float(log_power) * ln_ln_n
-        cols = [np.ones_like(ln_n), ln_n]
-        label = f"fixed_log_power({log_power})"
-    elif model == "free":
-        cols = [np.ones_like(ln_n), ln_n, ln_ln_n]
-        label = "free"
-    else:
-        raise ValueError(f"model must be 'fixed' or 'free', got {model!r}")
-    X = np.stack(cols, axis=1)
+    y = np.log(mean) - float(log_power) * np.log(np.log(n))
+    X = np.stack([np.ones_like(ln_n), ln_n], axis=1)
 
     weighted = np.all(se > 0)
     if weighted:
@@ -219,10 +206,23 @@ def fit_rate(data, log_power: int, model: str = "fixed") -> RateFit:
         exponent=float(coef[1]),
         exponent_se=float(math.sqrt(max(cov[1, 1], 0.0))),
         log_coeff=float(coef[0]),
-        log_power=float(log_power) if model == "fixed" else float(coef[2]),
-        model=label,
         r_squared=r2,
     )
+
+
+def local_slopes(data) -> tuple[np.ndarray, np.ndarray]:
+    """Log-log slopes of the mean between adjacent rows, and their se.
+
+    data: triples (n, mean, se) in increasing n.  The se follows by the
+    delta method, var(ln mean) = (se / mean)^2, the rows independent.
+    """
+    arr = _as_triples(data)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlog_n = np.diff(np.log(arr[:, 0]))
+        slopes = np.diff(np.log(arr[:, 1])) / dlog_n
+        rel_var = (arr[:, 2] / arr[:, 1]) ** 2
+        slope_se = np.sqrt(rel_var[1:] + rel_var[:-1]) / dlog_n
+    return slopes, slope_se
 
 
 def efron_check(

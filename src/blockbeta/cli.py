@@ -44,7 +44,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .asymptotics import InsufficientSpan, efron_check, fit_rate, verify_aw
+from .asymptotics import InsufficientSpan, efron_check, fit_rate, local_slopes, verify_aw
 from .core import BetaParams, BlockStructure, predict_rate, volume_deficit_rate
 from .hull import DegenerateInput, convex_hull, f_vector, verify_hull, volume
 from .metacube import (
@@ -410,28 +410,15 @@ def _cmd_fit(args) -> int:
             raise ConfigError(
                 f"--log-power must be 'auto' or an integer, got {args.log_power!r}"
             ) from exc
-    fixed = fit_rate(data, log_power, model="fixed")
-    free = fit_rate(data, log_power, model="free")
+    fit = fit_rate(data, log_power)
+    slopes, slope_se = local_slopes(data)
     print(f"record: {args.record}")
     print(f"observable: {args.observable}")
     print(f"rows: n = {data[0, 0]:.0f} .. {data[-1, 0]:.0f} "
           f"({len(data)} of {len(config.n_grid)} grid points)")
     print(f"predicted: exponent={exponent:.6g} log_power={log_power}")
-    print(
-        f"fitted ({fixed.model}): exponent={fixed.exponent:.6g} "
-        f"+- {fixed.exponent_se:.2g} r2={fixed.r_squared:.5f}"
-    )
-    print(
-        f"fitted (free): exponent={free.exponent:.6g} +- {free.exponent_se:.2g} "
-        f"loglog_coeff={free.log_power:.3g} r2={free.r_squared:.5f}"
-    )
-    # log-log slope of the mean between adjacent grid points; its se by the
-    # delta method, var(ln mean) = (se / mean)^2, the grid points independent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dlog_n = np.diff(np.log(data[:, 0]))
-        slopes = np.diff(np.log(data[:, 1])) / dlog_n
-        rel_var = (data[:, 2] / data[:, 1]) ** 2
-        slope_se = np.sqrt(rel_var[1:] + rel_var[:-1]) / dlog_n
+    print(f"fitted: exponent={fit.exponent:.6g} +- {fit.exponent_se:.2g} "
+          f"r2={fit.r_squared:.5f}")
     print("local slopes: " + " ".join(f"{x:.4g}+-{e:.2g}" for x, e in zip(slopes, slope_se)))
     return 0
 
@@ -601,10 +588,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BudgetExceeded, InsufficientSpan) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, BudgetExceeded, InsufficientSpan, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:           # a crash, not a verdict: keep it off 1

@@ -105,22 +105,14 @@ def predict_rate(bs: BlockStructure, bp: BetaParams) -> RatePrediction:
     if any(float(b) < 0 for b in bp.betas):
         raise ValueError("rate prediction requires nonnegative beta weights")
 
-    if all(_is_rational(b) for b in bp.betas):
-        ks = [
-            (Fraction(d) + Fraction(b)) / (1 + Fraction(b))
-            for d, b in zip(bs.dims, bp.betas)
-        ]
-        k_max = max(ks)
-        count = sum(k == k_max for k in ks)
-        exponent = float((k_max - 1) / (k_max + 1))
-        k_float = tuple(float(k) for k in ks)
-    else:
-        ks = [(d + float(b)) / (1.0 + float(b)) for d, b in zip(bs.dims, bp.betas)]
-        k_max_f = max(ks)
-        tol = TIE_REL_TOL * max(1.0, abs(k_max_f))
-        count = sum(k_max_f - k <= tol for k in ks)
-        exponent = (k_max_f - 1.0) / (k_max_f + 1.0)
-        k_float = tuple(ks)
+    exact = all(_is_rational(b) for b in bp.betas)
+    num = Fraction if exact else float
+    ks = [(num(d) + num(b)) / (1 + num(b)) for d, b in zip(bs.dims, bp.betas)]
+    k_max = max(ks)
+    tol = 0 if exact else TIE_REL_TOL * max(1.0, abs(k_max))
+    count = sum(k_max - k <= tol for k in ks)
+    exponent = float((k_max - 1) / (k_max + 1))
+    k_float = tuple(float(k) for k in ks)
 
     return RatePrediction(k=k_float, exponent=exponent, log_power=count - 1)
 

@@ -1,11 +1,12 @@
 """Orientation predicate with exact escalation.
 
 The sign of det[p_1 - q, ..., p_d - q] decides which side of the
-oriented hyperplane through p_1..p_d the query q lies on.  A floating
-evaluation with a running magnitude bound answers almost every call;
-whenever |det| falls inside the rounding bound the determinant is
-recomputed in exact rational arithmetic (floats are exact rationals,
-so the escalated sign is the true sign, including exact zero).
+oriented hyperplane through p_1..p_d the query q lies on.  One subset
+DP computes the determinant and a magnitude bound (the permanent of
+absolute values).  Run on floats it is a filter that answers almost
+every call; whenever |det| falls inside the rounding bound the same DP
+runs again on Fractions, exactly (floats are exact rationals, so the
+escalated sign is the true sign, including exact zero).
 """
 
 from __future__ import annotations
@@ -16,20 +17,28 @@ EPS = 2.0 ** -52
 
 
 def _det_and_permanent(rows):
-    """Determinant and permanent-of-absolute-values via subset DP."""
+    """Determinant and permanent-of-absolute-values via subset DP.
+
+    The arithmetic follows the entries' type: float rows give the
+    rounded values the filter tests, Fraction rows the exact ones.
+    """
     d = len(rows)
     full = (1 << d) - 1
-    det = [0.0] * (full + 1)
-    perm = [0.0] * (full + 1)
-    det[0] = 1.0
-    perm[0] = 1.0
+    one = type(rows[0][0])(1)
+    zero = one - one
+    det = [zero] * (full + 1)
+    perm = [zero] * (full + 1)
+    det[0] = one
+    perm[0] = one
     order = sorted(range(1, full + 1), key=lambda s: s.bit_count())
     for s in order:
         r = s.bit_count() - 1
         row = rows[r]
-        acc_d = 0.0
-        acc_p = 0.0
-        sign = 1.0
+        acc_d = zero
+        acc_p = zero
+        # Laplace expansion along row r: the k-th column of s has
+        # cofactor sign (-1)^(r + k)
+        sign = -one if r & 1 else one
         rest = s
         while rest:
             j = (rest & -rest).bit_length() - 1
@@ -41,28 +50,6 @@ def _det_and_permanent(rows):
         det[s] = acc_d
         perm[s] = acc_p
     return det[full], perm[full]
-
-
-def _det_exact(rows):
-    d = len(rows)
-    full = (1 << d) - 1
-    det = [Fraction(0)] * (full + 1)
-    det[0] = Fraction(1)
-    order = sorted(range(1, full + 1), key=lambda s: s.bit_count())
-    for s in order:
-        r = s.bit_count() - 1
-        row = rows[r]
-        acc = Fraction(0)
-        sign = 1
-        rest = s
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            sub = s & ~(1 << j)
-            acc += sign * row[j] * det[sub]
-            sign = -sign
-            rest &= rest - 1
-        det[s] = acc
-    return det[full]
 
 
 def orientation(simplex, q) -> int:
@@ -83,7 +70,7 @@ def orientation(simplex, q) -> int:
         [Fraction(float(p[j])) - Fraction(float(q[j])) for j in range(d)]
         for p in simplex
     ]
-    exact = _det_exact(exact_rows)
+    exact, _ = _det_and_permanent(exact_rows)
     if exact > 0:
         return 1
     if exact < 0:

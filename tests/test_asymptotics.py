@@ -119,10 +119,9 @@ PRED_HALF = predict_rate(BlockStructure((3,)), BetaParams.uniform(1))
 
 def test_fit_rate_exact_power_law():
     data = synth([100, 300, 1000, 3000, 10000, 30000], lambda n: 7.0 * n ** 0.5)
-    fit = fit_rate(data, PRED_HALF.log_power, model="fixed")
+    fit = fit_rate(data, PRED_HALF.log_power)
     assert fit.exponent == pytest.approx(0.5, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.model == "fixed_log_power(0)"
 
 
 def test_fit_rate_recovers_log_factor():
@@ -132,21 +131,9 @@ def test_fit_rate_recovers_log_factor():
         [100, 300, 1000, 3000, 10000, 100000],
         lambda n: 3.0 * n ** (1.0 / 3.0) * math.log(n),
     )
-    fit = fit_rate(data, pred.log_power, model="fixed")
+    fit = fit_rate(data, pred.log_power)
     assert fit.exponent == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert math.exp(fit.log_coeff) == pytest.approx(3.0, rel=1e-10)
-
-
-def test_fit_rate_free_model():
-    data = synth(
-        [100, 300, 1000, 3000, 10000, 100000],
-        lambda n: 3.0 * n ** 0.25 * math.log(n) ** 2,
-    )
-    pred = predict_rate(BlockStructure((3,)), BetaParams.uniform(1))
-    fit = fit_rate(data, pred.log_power, model="free")
-    assert fit.model == "free"
-    assert fit.exponent == pytest.approx(0.25, abs=1e-9)
-    assert fit.log_power == pytest.approx(2.0, abs=1e-7)
 
 
 def test_fit_rate_weighted():
@@ -156,7 +143,7 @@ def test_fit_rate_weighted():
     se = 0.01 * mean
     noisy = mean * np.exp(gen.normal(0.0, 0.01, size=len(ns)))
     data = np.stack([ns, noisy, se], axis=1)
-    fit = fit_rate(data, PRED_HALF.log_power, model="fixed")
+    fit = fit_rate(data, PRED_HALF.log_power)
     assert fit.exponent == pytest.approx(0.5, abs=0.02)
     assert fit.exponent_se < 0.02
 

@@ -221,6 +221,14 @@ def degenerate_once(monkeypatch):
     return calls
 
 
+def test_replicate_on_an_interval():
+    fv, deficit, stream = replicate(BlockStructure((1,)), BetaParams.uniform(1), 50, 3, 0,
+                                    want_volume=True)
+    assert fv == (2,)
+    assert 0.0 < deficit < 1.0
+    assert stream == 0
+
+
 def test_replicate_retries_a_degenerate_draw_on_the_next_substream(monkeypatch):
     bs, bp = BlockStructure((2, 1)), BetaParams.uniform(2)
     calls = degenerate_once(monkeypatch)
@@ -379,7 +387,7 @@ def test_main_fit_prints_local_slopes_of_a_known_power_law(tmp_path, capsys):
     def local_slopes(argv):
         assert main(["fit", "--record", str(record_dir), *argv]) == 0
         out = capsys.readouterr().out.strip().split("\n")
-        assert out[-2].startswith("fitted (free)")
+        assert out[-2].startswith("fitted: exponent=")
         label, _, values = out[-1].partition(": ")
         assert label == "local slopes"
         return out, [[float(v) for v in x.split("+-")] for x in values.split()]

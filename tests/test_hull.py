@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -308,6 +309,18 @@ def test_brute_force_simplex():
     }
 
 
+def test_one_dimensional_hull():
+    pts = np.array([[0.3], [-0.5], [0.9], [0.9], [0.1]])
+    hull = convex_hull(pts)
+    assert hull.vertex_ids == (1, 2)
+    assert f_vector(hull) == (2,)
+    assert volume(hull) == pytest.approx(1.4, rel=1e-15)
+    assert ridges_regular(hull)
+    probes = np.array([[0.0], [-0.5], [0.9], [-0.6], [1.0]])
+    assert contains_points(hull, probes).tolist() == [True, True, True, False, False]
+    assert brute_force_facets(pts) == [(1,), (2,)]
+
+
 def test_brute_force_size_cap():
     with pytest.raises(ValueError):
         brute_force_facets(np.random.default_rng(0).standard_normal((26, 3)))
@@ -350,6 +363,50 @@ def test_orientation_antisymmetry_3d(simplex, q):
     s = orientation(simplex, q)
     swapped = [simplex[1], simplex[0], simplex[2]]
     assert orientation(swapped, q) == -s
+
+
+def _det_sign_by_elimination(rows) -> int:
+    """Sign of det(rows) by Gaussian elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    sign = 1
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        if a[c][c] < 0:
+            sign = -sign
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return sign
+
+
+@st.composite
+def integer_simplex_and_query(draw):
+    """d simplex points and a query with small integer coordinates; about
+    half the draws put the query on the line through two simplex points,
+    so the determinant is exactly zero."""
+    d = draw(st.integers(1, 5))
+    point = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    simplex = draw(st.lists(point, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        t = draw(st.integers(-2, 2))
+        q = [a + t * (b - a) for a, b in zip(simplex[0], simplex[-1])]
+    else:
+        q = draw(point)
+    return simplex, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_simplex_and_query())
+def test_orientation_is_the_exact_determinant_sign(case):
+    simplex, q = case
+    rows = [[p_j - q_j for p_j, q_j in zip(p, q)] for p in simplex]
+    got = orientation([np.array(p, dtype=float) for p in simplex], np.array(q, dtype=float))
+    assert got == _det_sign_by_elimination(rows)
 
 
 def test_verify_hull_fails_when_it_checks_no_hull():
