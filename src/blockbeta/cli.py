@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
         if len(n_grid) == 0 or any(n < bs.dim + 1 for n in n_grid):
             raise ConfigError(f"every n must be >= d+1 = {bs.dim + 1}")
+        if len(set(n_grid)) != len(n_grid):
+            raise ConfigError(f"n_grid repeats a value: {list(n_grid)}")
         if reps < 1:
             raise ConfigError("reps must be >= 1")
         if not (0 <= root_seed < 2 ** 64):

@@ -104,7 +104,7 @@ beta_st = st.one_of(
          observables={"f_vector"}, name="")
 @given(
     blocks=st.lists(st.tuples(st.integers(1, 4), beta_st), min_size=1, max_size=3),
-    n_grid=st.lists(st.integers(13, 10 ** 6), min_size=1, max_size=5),
+    n_grid=st.lists(st.integers(13, 10 ** 6), min_size=1, max_size=5, unique=True),
     reps=st.integers(1, 50),
     root_seed=st.integers(0, 2 ** 64 - 1),
     observables=st.sets(st.sampled_from(["f_vector", "volume_deficit"]), min_size=1),
@@ -493,6 +493,13 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     p.write_text(json.dumps({"block_dims": [2], "nope": True}))
     assert main(["simulate", "--config", str(p)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_main_rejects_repeated_grid_points(tmp_path, capsys):
+    # a repeated n would give fit's local slopes a zero log-n step
+    cfg = write_config(tmp_path, block_dims=[2], n_grid=[20, 20, 50], reps=1)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "n_grid repeats a value" in capsys.readouterr().err
 
 
 def test_main_budget_exit(tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy import integrate, special, stats
 
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.sampler import (
+    KS_BLOCK,
     BetaBallLaw,
     RngStream,
     as_generator,
@@ -15,6 +16,8 @@ from blockbeta.sampler import (
     container_volume,
     sample_beta_ball,
     sample_block_beta,
+    verify_sampler,
+    _ks_one_sample,
 )
 
 
@@ -163,3 +166,68 @@ def test_density_matches_mc_mass():
     p_ref, _ = integrate.quad(lambda t: c * (1 - t * t) ** 2, 0.5, 1.0)
     se = math.sqrt(p_ref * (1 - p_ref) / len(pts))
     assert abs(p_hat - p_ref) < 4 * se
+
+
+def _ks_case(kind, n, seed):
+    """A sample of size n and a CDF to test it against, by kind."""
+    rng = np.random.default_rng(seed)
+    identity = lambda t: np.clip(t, 0.0, 1.0)  # noqa: E731
+    a, b = rng.choice([0.5, 1.0, 1.5, 3.0], size=2)
+    betainc = lambda t: special.betainc(a, b, t)  # noqa: E731
+    if kind == "uniform":
+        return rng.uniform(size=n), identity
+    if kind == "beta":
+        return rng.beta(a, b, size=n), betainc
+    if kind == "ties":
+        return np.round(rng.beta(a, b, size=n), 2), betainc
+    if kind == "first":
+        # every point in the upper half: D- peaks at or next to the first point
+        return 0.5 + 0.5 * rng.uniform(size=n), identity
+    # every point in the lower half: D+ peaks at or next to the last point
+    return 0.5 * rng.uniform(size=n), identity
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["uniform", "beta", "ties", "first", "last"]),
+    n=st.one_of(st.integers(1, 3 * KS_BLOCK + 3), st.integers(9_990, 10_010)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_ks_one_sample_equals_scipy_kstest_bit_for_bit(kind, n, seed):
+    x, cdf = _ks_case(kind, n, seed)
+    d, p = _ks_one_sample(x, cdf)
+    ref = stats.kstest(x, cdf)
+    assert d == ref.statistic and p == ref.pvalue
+
+
+def test_ks_one_sample_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            _ks_one_sample(np.array([0.1, bad, 0.5]), lambda t: t)
+
+
+def test_ks_one_sample_evaluates_a_quarter_of_the_cdf_at_most():
+    x = RngStream(31, 0).generator().beta(1.5, 3.0, size=200_000)
+    seen = []
+
+    def cdf(t):
+        seen.append(t.size)
+        return special.betainc(1.5, 3.0, t)
+
+    d, p = _ks_one_sample(x, cdf)
+    assert sum(seen) <= 0.25 * x.size
+    ref = stats.kstest(x, lambda t: special.betainc(1.5, 3.0, t))
+    assert d == ref.statistic and p == ref.pvalue
+
+
+def test_verify_sampler_radial_checks_equal_scipy_kstest():
+    seed, n = 4, 20_000
+    checks = {c.name: c for c in verify_sampler(seed, n).checks}
+    # the suite's draws, in its order, from the same stream
+    gen = RngStream(seed, 0).generator()
+    for k in (1, 2, 3, 4):
+        for beta in (0.0, 0.5, 2.0):
+            tsq = np.sum(np.square(sample_beta_ball(BetaBallLaw(k, beta), gen, size=n)), axis=1)
+            ref = stats.kstest(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
+            check = checks[f"radial_law[k={k},beta={beta}]"]
+            assert check.value == ref.statistic and check.stat == ref.pvalue
