@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import BetaParams, BlockStructure
 from .hull import contains_points, convex_hull
@@ -92,6 +91,9 @@ def aw_integral_numeric(a, n: float) -> float:
     n = float(n)
     if n < 3.0:
         raise ValueError(f"need n >= 3, got n={n}")
+    # imported here: scipy.integrate costs the CLI about 12 MiB and 0.16 s at start-up
+    from scipy import integrate
+
     w = _outer_weight(a)
     am = a[-1]
 

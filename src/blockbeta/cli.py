@@ -453,15 +453,12 @@ SUITES = {
         BlockStructure((2, 1)), BetaParams.uniform(2), trials=max(4, trials // 25),
         n_samples=samples, rng=RngStream(seed, 1),
     )],
-    "polyspherical": lambda seed, trials, samples: [
-        verify_polyspherical(BlockStructure((2, 1)), fn, n_samples=samples,
-                             rng=RngStream(seed, 2))
-        for fn in ("one", "first_block_sq", "exp_first")
-    ],
-    "bp2d": lambda seed, trials, samples: [
-        verify_blaschke_petkantschin_2d(fn, n_samples=samples, rng=RngStream(seed, 3))
-        for fn in ("square", "disk", "gauss_diff")
-    ],
+    "polyspherical": lambda seed, trials, samples: verify_polyspherical(
+        BlockStructure((2, 1)), n_samples=samples, rng=RngStream(seed, 2),
+    ),
+    "bp2d": lambda seed, trials, samples: verify_blaschke_petkantschin_2d(
+        n_samples=samples, rng=RngStream(seed, 3),
+    ),
     "bounds": lambda seed, trials, samples: [
         verify_bounds(1, (0.0,)), verify_bounds(2, (0.5, 0.5)),
     ],

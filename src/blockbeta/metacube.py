@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.special.cython_special import betainc
 
 from .core import BetaParams, BlockStructure
@@ -120,6 +120,9 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
 def _quad(f, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
+    # imported here: scipy.integrate costs the CLI about 12 MiB and 0.16 s at start-up
+    from scipy import integrate
+
     out = integrate.quad(
         f, lo, hi,
         epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
@@ -513,27 +516,28 @@ def _test_functions(bs: BlockStructure) -> dict:
 
 def verify_polyspherical(
     bs: BlockStructure,
-    test_fn_id: str = "one",
+    test_fn_ids: Sequence[str] = ("one", "first_block_sq", "exp_first"),
     n_samples: int = 200_000,
     *,
     rng,
-) -> Report:
+) -> list[Report]:
     """Sphere integral vs its block-radial decomposition, both by MC.
 
     The decomposition integrates over block norms v on the positive
     unit hemisphere-quadrant and unit vectors per block, with density
-    weight prod v_i^(d_i - 1).
+    weight prod v_i^(d_i - 1).  One set of draws serves every test
+    function: one Report each, in the order of test_fn_ids.
     """
     gen = as_generator(rng)
     fns = _test_functions(bs)
-    if test_fn_id not in fns:
-        raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(fns)}")
-    f, exact = fns[test_fn_id]
+    for test_fn_id in test_fn_ids:
+        if test_fn_id not in fns:
+            raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(fns)}")
     d, m = bs.dim, bs.m
 
     w_full = gen.standard_normal((n_samples, d))
     w_full /= np.linalg.norm(w_full, axis=1, keepdims=True)
-    vals_l = f(w_full) * sphere_area(d)
+    vals_l = [fns[t][0](w_full) * sphere_area(d) for t in test_fn_ids]
     del w_full
 
     v = np.abs(gen.standard_normal((n_samples, m)))
@@ -549,11 +553,14 @@ def verify_polyspherical(
     measure = (sphere_area(m) / 2.0 ** m) * float(
         np.prod([sphere_area(di) for di in bs.dims])
     )
-    vals_r = f(w_made) * weight * measure
-    return _two_route_report(
-        f"polyspherical dims={bs.dims} f={test_fn_id}", "decomposition",
-        vals_l, vals_r, exact,
-    )
+    reports = []
+    for t, lhs in zip(test_fn_ids, vals_l):
+        f, exact = fns[t]
+        reports.append(_two_route_report(
+            f"polyspherical dims={bs.dims} f={t}", "decomposition",
+            lhs, f(w_made) * weight * measure, exact,
+        ))
+    return reports
 
 
 def _square_chord(w: np.ndarray, s: np.ndarray):
@@ -593,24 +600,26 @@ def _bp_f(test_fn_id: str, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
 
 
 def verify_blaschke_petkantschin_2d(
-    test_fn_id: str = "square",
+    test_fn_ids: Sequence[str] = ("square", "disk", "gauss_diff"),
     n_samples: int = 400_000,
     *,
     rng,
-) -> Report:
+) -> list[Report]:
     """Planar pair integral vs its line decomposition, both by MC.
 
     For point pairs in the square [-1,1]^2 the decomposition samples a
     line by direction and signed distance, then two points on its chord,
     weighted by chord length squared and the segment length |t1 - t2|
-    (with the 1/2 orientation factor).
+    (with the 1/2 orientation factor).  One set of draws and chords
+    serves every test function: one Report each, in the order of
+    test_fn_ids.
     """
     gen = as_generator(rng)
     n = int(n_samples)
 
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))
-    vals_l = 16.0 * _bp_f(test_fn_id, x1, x2)
+    vals_l = [16.0 * _bp_f(t, x1, x2) for t in test_fn_ids]
     del x1, x2
 
     # each array is dropped once used; the draws keep their order
@@ -631,15 +640,16 @@ def verify_blaschke_petkantschin_2d(
     y1 = base + t1[:, None] * wp
     y2 = base + t2[:, None] * wp
     del base, wp
-    f_vals = np.where(ok, _bp_f(test_fn_id, y1, y2), 0.0)
-    del y1, y2
     # densities: 1/(2 pi) for direction, 1/4 for s, 1/L per chord point;
     # integrand carries |t1 - t2| Vol_1 and the 1/2 orientation factor
-    vals_r = np.where(
-        ok, 4.0 * math.pi * length ** 2 * np.abs(t1 - t2) * f_vals, 0.0
-    )
-    exact = {"square": 16.0, "disk": math.pi ** 2}.get(test_fn_id)
-    return _two_route_report(
-        f"pair integral via lines f={test_fn_id}", "line_decomposition",
-        vals_l, vals_r, exact,
-    )
+    weight = 4.0 * math.pi * length ** 2 * np.abs(t1 - t2)
+    del length, t1, t2
+    reports = []
+    for t, lhs in zip(test_fn_ids, vals_l):
+        f_vals = np.where(ok, _bp_f(t, y1, y2), 0.0)
+        reports.append(_two_route_report(
+            f"pair integral via lines f={t}", "line_decomposition",
+            lhs, np.where(ok, weight * f_vals, 0.0),
+            {"square": 16.0, "disk": math.pi ** 2}.get(t),
+        ))
+    return reports

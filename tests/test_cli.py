@@ -321,12 +321,33 @@ def test_simulate_raises_the_first_failing_row_in_row_order(tmp_path, monkeypatc
         simulate(make_config(reps=3), tmp_path, workers=2)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, blockbeta.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+def _fresh_python(*args):
+    """Run the interpreter on args with this checkout's blockbeta on its path."""
     src = str(Path(cli.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "[]\n"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # only quadrature and the KS checks load these, at their first call
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.stats")
+    for module in ("blockbeta", "blockbeta.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                f"if '.'.join(m.split('.')[:2]) in {heavy!r}))")
+        out = _fresh_python("-c", code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n", module
+
+
+def test_verify_in_a_fresh_interpreter_equals_verify_in_process(capsys):
+    # the fresh process loads scipy.integrate at its first quadrature call,
+    # from verify's two threads at once; this one has it loaded already
+    import scipy.integrate  # noqa: F401
+
+    args = ["verify", "--suite", "all", "--samples", "2000", "--trials", "8"]
+    fresh = _fresh_python("-m", "blockbeta", *args)
+    assert fresh.stderr == ""
+    assert (fresh.returncode, fresh.stdout) == (main(args), capsys.readouterr().out)
 
 
 def test_load_record_rejects_missing_rows(tmp_path):
