@@ -30,10 +30,12 @@ import numpy as np
 
 from .core import BetaParams, BlockStructure
 from .hull import contains_points, convex_hull
+from .metacube import QuadratureError
 from .report import Check, Report
 from .sampler import as_generator, sample_block_beta
 
 TIE_TOL = 1e-12
+AW_REL_TOL = 1e-10           # relative tolerance asked of each quad block
 EFRON_PROBES = 20_000         # uniform probes per volume-ratio estimate
 
 
@@ -84,8 +86,9 @@ def aw_integral_numeric(a, n: float) -> float:
     """Deterministic evaluation of I(n) for exponents a, m = len(a) <= 3.
 
     Accuracy is limited by the 1-D adaptive quadrature (relative
-    tolerance ~1e-10 requested); the integrand is evaluated in log
-    space to stay stable at large n.
+    tolerance AW_REL_TOL requested); the integrand is evaluated in log
+    space to stay stable at large n.  Raises QuadratureError when quad
+    warns and its error estimate exceeds 100 times that tolerance.
     """
     a = _exponents(a)
     n = float(n)
@@ -110,10 +113,13 @@ def aw_integral_numeric(a, n: float) -> float:
         cuts.append(min(cuts[-1] * 10.0, n))
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        piece, _ = integrate.quad(
-            integrand, lo, hi, epsabs=1e-300, epsrel=1e-10, limit=200
+        piece, abserr, _, *warning = integrate.quad(
+            integrand, lo, hi, epsabs=1e-300, epsrel=AW_REL_TOL, limit=200, full_output=1
         )
         total += piece
+        if warning and abserr > 100.0 * AW_REL_TOL * abs(total):
+            raise QuadratureError(warning[0], best=n ** -(am + 1.0) * total,
+                                  err=n ** -(am + 1.0) * abserr)
         if piece < 1e-14 * total and lo >= 1.0:
             break
     return n ** -(am + 1.0) * total

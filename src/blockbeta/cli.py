@@ -19,8 +19,9 @@ at n = 10^7 peak at 1.8 GB with the default two threads (1.2 GB with
 --workers 1, at twice the wall time), so large-n runs fit a desk machine
 at the default.
 verify runs the suites of the SUITES registry on WORKERS threads and
-prints their reports in registry order; each suite draws from its own
-random stream, so the output does not depend on the schedule.
+prints their reports in registry order; each Monte Carlo suite draws
+from its own stream, named in SUITES, so the output does not depend on
+the schedule.
 """
 
 from __future__ import annotations
@@ -246,6 +247,8 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
     """Run the configured experiment on workers threads and write its record directory."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not budget > 0:                 # also refuses NaN, which no cost exceeds
+        raise ConfigError(f"budget must be a positive number, got {budget}")
     cost = config.cost()
     if cost > budget:
         raise BudgetExceeded(
@@ -285,7 +288,6 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
         "peak_rss_mb": _peak_rss_mb(),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "csv": "raw.csv",
         "aggregates": recompute_aggregates(config, raw),
         # rows per n drawn from a retry substream
         "retries": {"n": list(config.n_grid), "rows": [int(k) for k in retried.sum(axis=1)]},
@@ -308,7 +310,7 @@ def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
     if not isinstance(record, dict) or "config" not in record:
         raise ConfigError(f"{record_dir / 'record.json'} is not an object with a config key")
     config = ExperimentConfig.from_dict(record["config"])
-    raw = _read_csv(record_dir / record.get("csv", "raw.csv"))
+    raw = _read_csv(record_dir / "raw.csv")
     # recompute_aggregates reads the rows by position
     if len(raw) != len(config.n_grid) * config.reps:
         raise ConfigError(
@@ -366,9 +368,7 @@ def recompute_aggregates(config: ExperimentConfig, raw: np.ndarray) -> dict:
 
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig.from_dict(_read_json(args.config))
-    if args.seed is not None:
-        config = ExperimentConfig.from_dict({**config.canonical(), "root_seed": args.seed})
-    budget = args.budget_override if args.budget_override else DEFAULT_BUDGET
+    budget = DEFAULT_BUDGET if args.budget_override is None else args.budget_override
     record_dir = simulate(config, args.out, workers=args.workers, budget=budget)
     print(f"record written to {record_dir}")
     return 0
@@ -444,11 +444,12 @@ def _cmd_predict(args) -> int:
 
 
 # name -> (seed, trials, samples) -> reports; "verify --suite all" prints
-# them in this order.  Suites run on concurrent threads, so each draws from
-# its own stream and shares no mutable state with another.
+# them in this order.  Suites run on concurrent threads, so each Monte
+# Carlo suite draws from RngStream(seed, index) with its own index, named
+# only here, and shares no mutable state with another.
 SUITES = {
-    "sampler": lambda seed, trials, samples: [verify_sampler(seed, samples)],
-    "hull": lambda seed, trials, samples: [verify_hull(seed, trials)],
+    "sampler": lambda seed, trials, samples: [verify_sampler(samples, rng=RngStream(seed, 0))],
+    "hull": lambda seed, trials, samples: [verify_hull(trials, rng=RngStream(seed, 5))],
     "reduction": lambda seed, trials, samples: [verify_reduction(
         BlockStructure((2, 1)), BetaParams.uniform(2), trials=max(4, trials // 25),
         n_samples=samples, rng=RngStream(seed, 1),
@@ -543,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--config", required=True, help="path to the JSON config")
     p.add_argument("--out", default=out_default, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override root_seed")
     p.add_argument("--workers", type=int, default=WORKERS,
                    help=f"replication threads (default {WORKERS}); each holds one "
                         "point cloud and its hull")

@@ -27,7 +27,8 @@ rounded points is its first occurrence.
 brute_force_facets is an independent oracle: it enumerates all d-point
 subsets and keeps those whose hyperplane has every remaining point
 strictly on one side, decided by the exact orientation predicate.  It
-shares no hull code with the qhull path.  verify_hull holds qhull's
+merges duplicates by its own first-occurrence rule on the dedup grid
+and shares no hull code with the qhull path.  verify_hull holds qhull's
 output on random clouds to the Euler relation, ridge regularity and
 the lower face-count bounds, each an independent counting check.
 """
@@ -44,6 +45,7 @@ from scipy.spatial import QhullError
 
 from .predicates import orientation
 from .report import Check, Report
+from .sampler import as_generator
 
 DEDUP_DECIMALS = 12          # points equal after rounding here are merged
 CONTAINS_TOL = 1e-9
@@ -310,9 +312,11 @@ def brute_force_facets(points) -> list[tuple[int, ...]]:
         raise ValueError(
             f"brute force is limited to {BRUTE_FORCE_MAX_POINTS} points, got {n}"
         )
-    keep = _dedup(pts)
+    # first occurrences on the dedup grid, -0.0 made +0.0; not _dedup, which it checks
+    rows = [row.tobytes() for row in np.round(pts, DEDUP_DECIMALS) + 0.0]
+    keep = [i for i, row in enumerate(rows) if rows.index(row) == i]
     facets = []
-    for subset in combinations(keep.tolist(), d):
+    for subset in combinations(keep, d):
         simplex = [pts[i] for i in subset]
         side = 0
         ok = True
@@ -333,11 +337,11 @@ def brute_force_facets(points) -> list[tuple[int, ...]]:
     return facets
 
 
-def verify_hull(seed: int, trials: int) -> Report:
+def verify_hull(trials: int, *, rng) -> Report:
     """Euler relation, ridge regularity and lower face bounds on random
     Gaussian clouds in dimensions 2..6."""
     rep = Report(title="hull combinatorics")
-    gen = np.random.default_rng(seed)
+    gen = as_generator(rng)
     bad = 0
     for _ in range(trials):
         d = int(gen.integers(2, 7))

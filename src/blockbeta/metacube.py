@@ -514,30 +514,21 @@ def _test_functions(bs: BlockStructure) -> dict:
     }
 
 
-def verify_polyspherical(
-    bs: BlockStructure,
-    test_fn_ids: Sequence[str] = ("one", "first_block_sq", "exp_first"),
-    n_samples: int = 200_000,
-    *,
-    rng,
-) -> list[Report]:
+def verify_polyspherical(bs: BlockStructure, n_samples: int = 200_000, *, rng) -> list[Report]:
     """Sphere integral vs its block-radial decomposition, both by MC.
 
     The decomposition integrates over block norms v on the positive
     unit hemisphere-quadrant and unit vectors per block, with density
     weight prod v_i^(d_i - 1).  One set of draws serves every test
-    function: one Report each, in the order of test_fn_ids.
+    function: one Report each, in the order of _test_functions.
     """
     gen = as_generator(rng)
     fns = _test_functions(bs)
-    for test_fn_id in test_fn_ids:
-        if test_fn_id not in fns:
-            raise ValueError(f"unknown test function {test_fn_id!r}; have {sorted(fns)}")
     d, m = bs.dim, bs.m
 
     w_full = gen.standard_normal((n_samples, d))
     w_full /= np.linalg.norm(w_full, axis=1, keepdims=True)
-    vals_l = [fns[t][0](w_full) * sphere_area(d) for t in test_fn_ids]
+    vals_l = [f(w_full) * sphere_area(d) for f, _ in fns.values()]
     del w_full
 
     v = np.abs(gen.standard_normal((n_samples, m)))
@@ -554,8 +545,7 @@ def verify_polyspherical(
         np.prod([sphere_area(di) for di in bs.dims])
     )
     reports = []
-    for t, lhs in zip(test_fn_ids, vals_l):
-        f, exact = fns[t]
+    for (t, (f, exact)), lhs in zip(fns.items(), vals_l):
         reports.append(_two_route_report(
             f"polyspherical dims={bs.dims} f={t}", "decomposition",
             lhs, f(w_made) * weight * measure, exact,
@@ -587,24 +577,17 @@ def _square_chord(w: np.ndarray, s: np.ndarray):
     return lo, hi, wp
 
 
-def _bp_f(test_fn_id: str, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    if test_fn_id == "square":
-        return np.ones(len(y1))
-    if test_fn_id == "disk":
-        return (
-            (np.sum(y1 ** 2, axis=1) <= 1.0) & (np.sum(y2 ** 2, axis=1) <= 1.0)
-        ).astype(float)
-    if test_fn_id == "gauss_diff":
-        return np.exp(-np.sum((y1 - y2) ** 2, axis=1))
-    raise ValueError(f"unknown test function {test_fn_id!r}; have disk, gauss_diff, square")
+# test functions f(y1, y2) of the pair integral over [-1,1]^2 x [-1,1]^2,
+# each with its exact value where known
+_BP_TEST_FUNCTIONS = {
+    "square": (lambda y1, y2: np.ones(len(y1)), 16.0),
+    "disk": (lambda y1, y2: ((np.sum(y1 ** 2, axis=1) <= 1.0)
+                             & (np.sum(y2 ** 2, axis=1) <= 1.0)).astype(float), math.pi ** 2),
+    "gauss_diff": (lambda y1, y2: np.exp(-np.sum((y1 - y2) ** 2, axis=1)), None),
+}
 
 
-def verify_blaschke_petkantschin_2d(
-    test_fn_ids: Sequence[str] = ("square", "disk", "gauss_diff"),
-    n_samples: int = 400_000,
-    *,
-    rng,
-) -> list[Report]:
+def verify_blaschke_petkantschin_2d(n_samples: int = 400_000, *, rng) -> list[Report]:
     """Planar pair integral vs its line decomposition, both by MC.
 
     For point pairs in the square [-1,1]^2 the decomposition samples a
@@ -612,14 +595,14 @@ def verify_blaschke_petkantschin_2d(
     weighted by chord length squared and the segment length |t1 - t2|
     (with the 1/2 orientation factor).  One set of draws and chords
     serves every test function: one Report each, in the order of
-    test_fn_ids.
+    _BP_TEST_FUNCTIONS.
     """
     gen = as_generator(rng)
     n = int(n_samples)
 
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))
-    vals_l = [16.0 * _bp_f(t, x1, x2) for t in test_fn_ids]
+    vals_l = [16.0 * f(x1, x2) for f, _ in _BP_TEST_FUNCTIONS.values()]
     del x1, x2
 
     # each array is dropped once used; the draws keep their order
@@ -645,11 +628,10 @@ def verify_blaschke_petkantschin_2d(
     weight = 4.0 * math.pi * length ** 2 * np.abs(t1 - t2)
     del length, t1, t2
     reports = []
-    for t, lhs in zip(test_fn_ids, vals_l):
-        f_vals = np.where(ok, _bp_f(t, y1, y2), 0.0)
+    for (t, (f, exact)), lhs in zip(_BP_TEST_FUNCTIONS.items(), vals_l):
+        f_vals = np.where(ok, f(y1, y2), 0.0)
         reports.append(_two_route_report(
             f"pair integral via lines f={t}", "line_decomposition",
-            lhs, np.where(ok, weight * f_vals, 0.0),
-            {"square": 16.0, "disk": math.pi ** 2}.get(t),
+            lhs, np.where(ok, weight * f_vals, 0.0), exact,
         ))
     return reports

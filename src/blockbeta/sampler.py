@@ -14,6 +14,9 @@ Reproducibility contract: a stream is identified by (root_seed,
 stream_index); equal identifiers give bit-identical draws.  Within one
 generator the draw order is fixed (directions first, then radii, block
 by block), so vectorized and repeated calls stay deterministic.
+RngStream(s, 0) draws the same bits as np.random.default_rng(s), so a
+generator seeded directly with s would share stream 0 with whoever
+holds it: seed only through RngStream.
 
 verify_sampler holds the radial law and the projection property to
 Kolmogorov-Smirnov tests.  The one-sample statistic D = max(D+, D-)
@@ -162,7 +165,7 @@ def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
     return d, np.clip(np.asarray(stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
 
 
-def verify_sampler(seed: int, n_samples: int) -> Report:
+def verify_sampler(n_samples: int, *, rng) -> Report:
     """Radial law and projection property via Kolmogorov-Smirnov.
 
     The radial law is tested by _ks_one_sample.  It evaluates betainc at
@@ -175,7 +178,7 @@ def verify_sampler(seed: int, n_samples: int) -> Report:
     from scipy import stats
 
     rep = Report(title="sampler laws")
-    gen = RngStream(seed, 0).generator()
+    gen = as_generator(rng)
     for k in (1, 2, 3, 4):
         for beta in (0.0, 0.5, 2.0):
             pts = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)

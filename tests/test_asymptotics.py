@@ -15,6 +15,7 @@ from blockbeta.asymptotics import (
     fit_rate,
 )
 from blockbeta.core import BetaParams, BlockStructure, predict_rate
+from blockbeta.metacube import QuadratureError
 from blockbeta.sampler import RngStream
 
 
@@ -105,6 +106,24 @@ def test_aw_requires_reasonable_n():
     with pytest.raises(ValueError):
         aw_integral_numeric((1.0,), 2)
     assert aw_integral_numeric((1.0,), 3) > 0
+
+
+@pytest.mark.parametrize("rel_err, raises", [(1e-14, False), (1e-3, True)])
+def test_aw_raises_when_quad_warns_with_a_large_error(monkeypatch, rel_err, raises):
+    a, n = (1.0, 0.5), 1e6
+    want = aw_integral_numeric(a, n)
+    real = integrate.quad
+
+    def warning_quad(*args, **kwargs):
+        y, _, info = real(*args, **kwargs)
+        return y, rel_err * abs(y), info, "The maximum number of subdivisions (200) has been achieved."
+
+    monkeypatch.setattr(integrate, "quad", warning_quad)
+    if raises:
+        with pytest.raises(QuadratureError, match="maximum number of subdivisions"):
+            aw_integral_numeric(a, n)
+    else:                              # a warning with a small error keeps the value
+        assert aw_integral_numeric(a, n) == want
 
 
 # --- rate fitting -------------------------------------------------------

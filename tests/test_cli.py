@@ -32,6 +32,7 @@ from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.hull import DegenerateInput
 from blockbeta.metacube import QuadratureError
 from blockbeta.report import Check, Report
+from blockbeta.sampler import RngStream
 
 
 def make_config(**overrides):
@@ -139,6 +140,7 @@ def test_simulate_record_layout(tmp_path):
     assert 0 < record["peak_rss_mb"] < 2 ** 20
     assert record["versions"] == {"python": platform.python_version(),
                                   "numpy": np.__version__, "scipy": scipy.__version__}
+    assert "csv" not in record            # the rows are always raw.csv
     agg = record["aggregates"]
     assert agg["n"] == [20, 40]
     assert len(agg["f_0"]["mean"]) == 2
@@ -350,6 +352,15 @@ def test_verify_in_a_fresh_interpreter_equals_verify_in_process(capsys):
     assert (fresh.returncode, fresh.stdout) == (main(args), capsys.readouterr().out)
 
 
+def test_load_record_reads_raw_csv_whatever_an_old_record_names(tmp_path):
+    record_dir = simulate(make_config(), tmp_path)
+    config, raw = load_record(record_dir)
+    record = json.loads((record_dir / "record.json").read_text())
+    (record_dir / "record.json").write_text(json.dumps({**record, "csv": "elsewhere.csv"}))
+    again, raw_again = load_record(record_dir)
+    assert again == config and np.array_equal(raw_again, raw, equal_nan=True)
+
+
 def test_load_record_rejects_missing_rows(tmp_path):
     record_dir = simulate(make_config(), tmp_path)
     csv = record_dir / "raw.csv"
@@ -487,6 +498,10 @@ NEGATIVE_BETA_CONFIG = {
     # a (file, text) pair replaces that file of the record
     (["fit"], ("raw.csv", "n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,abc,4,,0\n")),
     (["simulate", "--workers", "0"], json.dumps({"block_dims": [2], "n_grid": [10], "reps": 1})),
+    # a budget no cost exceeds would switch the guard off
+    (["simulate", "--budget-override", "0"], json.dumps({"block_dims": [2], "n_grid": [10]})),
+    (["simulate", "--budget-override=-1"], json.dumps({"block_dims": [2], "n_grid": [10]})),
+    (["simulate", "--budget-override", "nan"], json.dumps({"block_dims": [2], "n_grid": [10]})),
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
@@ -568,15 +583,41 @@ def test_verify_suite_choices_are_the_registry():
     assert suite.choices == [*SUITES, "all"]
 
 
+# sha256 of "verify --suite all --samples 4000 --trials 20": pins which
+# draws each report reads, as PINNED_RAW_SHA256 pins raw.csv
+PINNED_VERIFY_SHA256 = "95c7e3140bb90a9fdd365d7442daa08872041ba857591184555158bf8cb03409"
+
+
 def test_verify_all_runs_each_suite_in_registry_order(capsys):
     small = ["--samples", "4000", "--trials", "20"]
     assert main(["verify", "--suite", "all", *small]) == 0
     together = capsys.readouterr().out
+    assert hashlib.sha256(together.encode()).hexdigest() == PINNED_VERIFY_SHA256
     alone = []
     for name in SUITES:
         assert main(["verify", "--suite", name, *small]) == 0
         alone.append(capsys.readouterr().out)
     assert together == "".join(alone)
+
+
+MONTE_CARLO_SUITES = {"sampler", "hull", "reduction", "polyspherical", "bp2d", "efron"}
+
+
+def test_each_monte_carlo_suite_draws_from_its_own_stream(monkeypatch):
+    # streams[name] lists the (seed, index) of every RngStream SUITES builds for it
+    streams = {name: [] for name in SUITES}
+    for name in SUITES:
+        def named(seed, index, name=name):
+            streams[name].append((seed, index))
+            return RngStream(seed, index)
+
+        monkeypatch.setattr(cli, "RngStream", named)
+        SUITES[name](7, 1, 2)
+    assert {name for name, drawn in streams.items() if drawn} == MONTE_CARLO_SUITES
+    drawn = [stream for name in SUITES for stream in streams[name]]
+    assert len(drawn) == len(MONTE_CARLO_SUITES)
+    assert {seed for seed, _ in drawn} == {7}
+    assert len({index for _, index in drawn}) == len(drawn)
 
 
 def test_verify_all_with_a_crashing_suite_exits_3_and_prints_no_report(monkeypatch, capsys):

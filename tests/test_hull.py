@@ -26,6 +26,7 @@ from blockbeta.hull import (
     volume,
 )
 from blockbeta.predicates import orientation
+from blockbeta.sampler import RngStream
 
 
 def cube_points(d, scale=1.0):
@@ -302,6 +303,18 @@ def test_brute_force_agrees_with_qhull(d):
         assert set(brute_force_facets(pts)) == qhull_facet_set(pts)
 
 
+def test_brute_force_merges_duplicates_without_dedup():
+    # exact, signed-zero and sub-grid copies of points, after the originals
+    base = np.random.default_rng(7).standard_normal((8, 3))
+    base[0, 1] = 0.0
+    copies = base[[0, 0, 2, 5]]
+    copies[0, 1], copies[1, 1] = -0.0, 1e-13
+    want = qhull_facet_set(base)
+    # the oracle must not lean on the fast path's merge, which it checks
+    with mock.patch.object(hull_module, "_dedup", lambda p: np.arange(len(p))):
+        assert set(brute_force_facets(np.vstack([base, copies]))) == want
+
+
 def test_brute_force_simplex():
     pts = np.vstack([np.zeros(3), np.eye(3)])
     assert set(brute_force_facets(pts)) == {
@@ -410,5 +423,5 @@ def test_orientation_is_the_exact_determinant_sign(case):
 
 
 def test_verify_hull_fails_when_it_checks_no_hull():
-    assert verify_hull(0, 3).passed
-    assert not verify_hull(0, 0).passed
+    assert verify_hull(3, rng=RngStream(0, 5)).passed
+    assert not verify_hull(0, rng=RngStream(0, 5)).passed

@@ -394,44 +394,29 @@ def test_verify_reduction_smoke():
 
 
 def test_verify_polyspherical_smoke():
-    reports = verify_polyspherical(
-        BlockStructure((2, 1)), ("one", "first_block_sq"), n_samples=60_000,
-        rng=RngStream(19, 0),
-    )
-    assert len(reports) == 2
+    reports = verify_polyspherical(BlockStructure((2, 1)), n_samples=60_000,
+                                   rng=RngStream(19, 0))
+    assert [rep.title for rep in reports] == [
+        f"polyspherical dims=(2, 1) f={f}" for f in ("one", "first_block_sq", "exp_first")]
     for rep in reports:
         assert rep.passed, "\n" + str(rep)
 
 
 def test_verify_bp2d_smoke():
-    [rep] = verify_blaschke_petkantschin_2d(
-        ("square",), n_samples=150_000, rng=RngStream(23, 0)
-    )
-    assert rep.passed, "\n" + str(rep)
-
-
-@pytest.mark.parametrize("suite, fns", [
-    (lambda fns, rng: verify_polyspherical(BlockStructure((2, 1)), fns, 5_000, rng=rng),
-     ("one", "first_block_sq", "exp_first")),
-    (lambda fns, rng: verify_blaschke_petkantschin_2d(fns, 5_000, rng=rng),
-     ("square", "disk", "gauss_diff")),
-], ids=["polyspherical", "bp2d"])
-def test_one_draw_for_all_test_functions_equals_one_draw_each(suite, fns):
-    together = suite(fns, RngStream(29, 2))
-    assert len(together) == len(fns)
-    for fn, rep in zip(fns, together):
-        [alone] = suite((fn,), RngStream(29, 2))
-        assert rep == alone
-        assert str(rep) == str(alone)
+    reports = verify_blaschke_petkantschin_2d(n_samples=150_000, rng=RngStream(23, 0))
+    assert [rep.title for rep in reports] == [
+        f"pair integral via lines f={f}" for f in ("square", "disk", "gauss_diff")]
+    for rep in reports:
+        assert rep.passed, "\n" + str(rep)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # std of one sample
 def test_verify_bp2d_single_sample_does_not_pass():
     # with one sample the standard errors are NaN; the z-tests must fail
     # rather than read z = 0
-    [rep] = verify_blaschke_petkantschin_2d(("square",), n_samples=1, rng=RngStream(0, 3))
-    assert not rep.passed
-    assert all(math.isnan(c.stat) and not c.passed for c in rep.checks)
+    for rep in verify_blaschke_petkantschin_2d(n_samples=1, rng=RngStream(0, 3)):
+        assert not rep.passed
+        assert all(math.isnan(c.stat) and not c.passed for c in rep.checks)
 
 
 def test_verify_bounds_smoke():

@@ -222,7 +222,7 @@ def test_ks_one_sample_evaluates_a_quarter_of_the_cdf_at_most():
 
 def test_verify_sampler_radial_checks_equal_scipy_kstest():
     seed, n = 4, 20_000
-    checks = {c.name: c for c in verify_sampler(seed, n).checks}
+    checks = {c.name: c for c in verify_sampler(n, rng=RngStream(seed, 0)).checks}
     # the suite's draws, in its order, from the same stream
     gen = RngStream(seed, 0).generator()
     for k in (1, 2, 3, 4):
