@@ -62,7 +62,9 @@ MAX_RETRIES = 5
 # Threads for simulate's replications and verify's suites.  qhull, numpy's
 # draws and sorts and betainc release the GIL, so a second thread runs
 # beside the first on two cores; a third would hold a third replication's
-# (or suite's) arrays at once and gain no speed.
+# (or suite's) arrays at once and gain no speed.  Code run on these
+# threads makes no threaded BLAS call: after one, OpenBLAS's worker thread
+# spins for tens of milliseconds on a core the other thread needs.
 WORKERS = 2
 
 CONFIG_KEYS = {

@@ -253,9 +253,24 @@ def volume(hull: HullResult) -> float:
 
 def contains_points(hull: HullResult, xs) -> np.ndarray:
     """Membership, within CONTAINS_TOL of every facet plane, for an (n, d)
-    array of query points."""
+    array of query points.
+
+    Each facet's distance is summed column by column into one buffer and
+    folded into the mask, so no (n, facets) matrix is built.
+    """
     xs = np.asarray(xs, dtype=float)
-    return np.all(xs @ hull.normals.T <= hull.offsets + CONTAINS_TOL, axis=1)
+    if xs.ndim != 2 or xs.shape[1] != hull.dim:
+        raise ValueError(f"expected query points of shape (n, {hull.dim}), got {xs.shape}")
+    # no BLAS: a threaded matmul leaves OpenBLAS's worker spinning on the cores verify's pool uses
+    cols = [np.ascontiguousarray(xs[:, j]) for j in range(hull.dim)]
+    inside = np.ones(len(xs), dtype=bool)
+    dist, term = np.empty(len(xs)), np.empty(len(xs))
+    for normal, bound in zip(hull.normals, hull.offsets + CONTAINS_TOL):
+        np.multiply(cols[0], normal[0], out=dist)
+        for col, c in zip(cols[1:], normal[1:]):
+            dist += np.multiply(col, c, out=term)
+        inside &= dist <= bound
+    return inside
 
 
 def euler_relation_holds(face_counts: tuple[int, ...]) -> bool:

@@ -44,7 +44,7 @@ from scipy.special.cython_special import betainc
 
 from .core import BetaParams, BlockStructure
 from .report import Check, Report
-from .sampler import as_generator, ball_density_const, sample_block_beta
+from .sampler import RngStream, as_generator, ball_density_const, sample_block_beta
 
 ZERO_COMPONENT_TOL = 1e-14
 QUAD_ABS_TOL = 1e-10
@@ -330,8 +330,14 @@ def cap_content_full_mc(
     """
     gen = as_generator(rng)
     w = np.asarray(w, dtype=float)
+    if w.shape != (bs.dim,):
+        raise ValueError(f"expected a direction of shape ({bs.dim},), got {w.shape}")
     pts = sample_block_beta(bs, bp, gen, size=int(n_samples))
-    hits = pts @ w >= s
+    # no BLAS: a threaded matmul leaves OpenBLAS's worker spinning on the cores verify's pool uses
+    proj = pts[:, 0] * w[0]
+    for j in range(1, bs.dim):
+        proj += pts[:, j] * w[j]
+    hits = proj >= s
     p = float(hits.mean())
     se = math.sqrt(max(p * (1.0 - p), 0.0) / len(hits))
     return p, se
@@ -452,7 +458,7 @@ def verify_bounds(m: int, betas: Sequence[float]) -> Report:
     if m > 1 and any(b < 0 for b in betas):
         raise ValueError("section bounds need nonnegative beta weights for m >= 2")
     rep = Report(title=f"bounds m={m} betas={tuple(betas)}")
-    gen = np.random.default_rng(BOUNDS_SEED)
+    gen = RngStream(BOUNDS_SEED, 0).generator()
     beta_sum = sum(betas)
     n_dirs = 1 if m == 1 else BOUNDS_DIRECTIONS
     steps = 10.0 ** -np.linspace(0.0, BOUNDS_DECADES, BOUNDS_GAPS)

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -618,6 +619,37 @@ def test_each_monte_carlo_suite_draws_from_its_own_stream(monkeypatch):
     assert len(drawn) == len(MONTE_CARLO_SUITES)
     assert {seed for seed, _ in drawn} == {7}
     assert len({index for _, index in drawn}) == len(drawn)
+
+
+def _thread_cpu_seconds():
+    """tid -> user + system CPU seconds of every thread of this process."""
+    tick = os.sysconf("SC_CLK_TCK")
+    seconds = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            stat = Path(f"/proc/self/task/{tid}/stat").read_text()
+        except OSError:               # the thread ended while we looked
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()
+        seconds[int(tid)] = (int(fields[11]) + int(fields[12])) / tick
+    return seconds
+
+
+@pytest.mark.parametrize("suite", ["reduction", "efron"])
+def test_verify_suites_leave_the_other_threads_idle(suite):
+    # a threaded BLAS call in a suite leaves OpenBLAS's worker thread
+    # spinning for tens of milliseconds on a core the suite pool needs
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no per-thread CPU times without /proc")
+    time.sleep(0.3)                   # let any earlier spin end
+    before = _thread_cpu_seconds()
+    before.pop(threading.get_native_id(), None)
+    if not before:
+        pytest.skip("no thread besides the caller")
+    assert main(["verify", "--suite", suite]) == 0
+    after = _thread_cpu_seconds()
+    gained = {tid: after.get(tid, cpu) - cpu for tid, cpu in before.items()}
+    assert max(gained.values()) <= 0.05, gained
 
 
 def test_verify_all_with_a_crashing_suite_exits_3_and_prints_no_report(monkeypatch, capsys):

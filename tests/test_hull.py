@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import blockbeta.hull as hull_module
 from blockbeta.hull import (
+    CONTAINS_TOL,
     DegenerateInput,
     HullResult,
     _dedup,
@@ -82,6 +83,33 @@ def test_contains():
         [0.0, 0.0, 2.0],
     ])
     assert list(flags) == [True, True, True, False, False, True, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_contains_points_matches_the_matmul_reference(d, seed):
+    gen = np.random.default_rng(seed)
+    hull = convex_hull(gen.standard_normal((2 * d + 6, d)))
+    vertices = hull.points[list(hull.vertex_ids)]
+    centroids = hull.points[hull.facet_vertices].mean(axis=1)
+    # each facet's centroid moved along its outward normal, in and out
+    near = [centroids + step * hull.normals for step in (-1e-6, -1e-12, 1e-12, 1e-6)]
+    probes = np.vstack([vertices, centroids, *near, gen.standard_normal((200, d))])
+    reference = np.all(probes @ hull.normals.T <= hull.offsets + CONTAINS_TOL, axis=1)
+    flags = contains_points(hull, probes)
+    assert flags.dtype == bool and flags.shape == (len(probes),)
+    assert np.array_equal(flags, reference)
+    assert flags[:len(vertices) + len(centroids)].all()
+    assert not contains_points(hull, near[-1]).any()
+
+
+@pytest.mark.parametrize(
+    "xs", [np.zeros(3), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((1, 4, 3))],
+)
+def test_contains_points_rejects_queries_of_the_wrong_shape(xs):
+    hull = convex_hull(cube_points(3))
+    with pytest.raises(ValueError, match="shape"):
+        contains_points(hull, xs)
 
 
 def test_normals_point_outward():

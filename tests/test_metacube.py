@@ -28,7 +28,7 @@ from blockbeta.metacube import (
     verify_polyspherical,
     verify_reduction,
 )
-from blockbeta.sampler import RngStream, ball_density_const
+from blockbeta.sampler import RngStream, ball_density_const, sample_block_beta
 
 
 def simpson_adaptive(f, a, b, tol=1e-12, depth=50):
@@ -380,6 +380,28 @@ def test_halfspace_mass_single_block_matches_marginal():
         MetaCap(np.array([1.0]), s), shifted_betas(bs, bp)
     ) * reduction_constant(bs, bp)
     assert abs(p_hat - p_ref) < 4 * se
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (3, 2)])
+def test_halfspace_hits_equal_the_matmul_reference(dims):
+    bs = BlockStructure(dims)
+    bp = BetaParams(tuple(0.5 * i for i in range(bs.m)))
+    w = np.random.default_rng(len(dims)).standard_normal(bs.dim)
+    w /= np.linalg.norm(w)
+    n = 50_000
+    pts = sample_block_beta(bs, bp, RngStream(11, 0), size=n)
+    for s in (-0.6, 0.0, 0.25, 0.7):
+        p_hat, se = cap_content_full_mc(bs, bp, w, s, n, RngStream(11, 0))
+        p_ref = float((pts @ w >= s).mean())
+        assert p_hat == p_ref
+        assert se == math.sqrt(p_ref * (1.0 - p_ref) / n)
+
+
+def test_halfspace_mass_rejects_a_direction_of_the_wrong_length():
+    bs = BlockStructure((2, 1))
+    for w in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="shape"):
+            cap_content_full_mc(bs, BetaParams.uniform(2), w, 0.0, 10, RngStream(0, 0))
 
 
 def test_verify_reduction_smoke():
