@@ -191,21 +191,14 @@ def fit_rate(data, log_power: int) -> RateFit:
     X = np.stack([np.ones_like(ln_n), ln_n], axis=1)
 
     weighted = np.all(se > 0)
-    if weighted:
-        wts = (mean / se) ** 2          # delta method: var(log mean) = (se/mean)^2
-        sw = np.sqrt(wts)
-        coef, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
-        cov = np.linalg.pinv((X * wts[:, None]).T @ X)
-    else:
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = y - X @ coef
-        dof = max(len(y) - X.shape[1], 1)
-        sigma2 = float(resid @ resid) / dof
-        cov = np.linalg.pinv(X.T @ X) * sigma2
-        wts = np.ones_like(y)
-
-    fitted = X @ coef
-    resid = y - fitted
+    # delta method: var(log mean) = (se/mean)^2
+    wts = (mean / se) ** 2 if weighted else np.ones_like(y)
+    sw = np.sqrt(wts)
+    coef, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
+    cov = np.linalg.pinv((X * wts[:, None]).T @ X)
+    resid = y - X @ coef
+    if not weighted:                    # unit weights: scale by the residual variance
+        cov *= float(resid @ resid) / max(len(y) - X.shape[1], 1)
     tss = float(np.sum(wts * (y - np.average(y, weights=wts)) ** 2))
     rss = float(np.sum(wts * resid ** 2))
     r2 = 1.0 - rss / tss if tss > 0 else 1.0

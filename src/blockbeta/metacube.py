@@ -11,13 +11,15 @@ prod_i c_{beta_i,d_i} / (c_{beta_i,d_i-1} c_{beta~_i,1}) telescopes to
 exactly 1; reduction_constant computes it anyway so the verification
 multiplies by what the identity states rather than assuming it.
 
-Cap and section contents are evaluated by nested adaptive quadrature
-with the innermost coordinate in closed form through the incomplete
-beta function.  The cap routes hoist that closed form's constants
-(density constant, 2 4^beta, the beta function B(a, a)) out of the
-integrand, computing them once per cap, and call the scalar
-scipy.special.cython_special.betainc per point instead of the
-special.betainc ufunc.  The floating-point operations keep the order
+Cap and section contents are evaluated by nested adaptive quadrature.
+Caps and sections share one outer level, _outer_levels, which clamps
+each coordinate to where the later ones can still reach the cap or
+slice; each route supplies its own innermost level, for caps in closed
+form through the incomplete beta function.  The cap routes hoist that
+closed form's constants (density constant, 2 4^beta, the beta function
+B(a, a)) out of the integrand, computing them once per cap, and call
+the scalar scipy.special.cython_special.betainc per point instead of
+the special.betainc ufunc.  The floating-point operations keep the order
 incomplete_beta gives them, so every cap value is bit-identical to
 evaluating the closed form through incomplete_beta; the tests hold the
 two equal.  Thin caps near the corner (one_norm - s < min v_i) are
@@ -134,6 +136,40 @@ def _quad(f, lo: float, hi: float) -> float:
     return float(y)
 
 
+def _outer_levels(s, consts, betas, v, outer, below, above, inner):
+    """Chain the outer quadrature levels of a cap or section around inner.
+
+    Level i integrates coordinate j = outer[i] against its weight
+    consts[j] (1 - y^2)^betas[j], handing partial + v_j y on to the next
+    level and the last level to inner.  The coordinates after level i can
+    move y . v by at most below[i] down and above[i] up, so outside
+    [(s - partial - below[i]) / v_j, (s - partial + above[i]) / v_j] the
+    integrand vanishes; clamping to it keeps quadrature panels on the
+    actual support when the cap or slice is thin.  Returns level 0 as a
+    function of the partial sum.
+    """
+    def level(c: float, b: float, vj: float, down: float, up: float, nxt):
+        def val(partial: float) -> float:
+            lo = max(-1.0, (s - partial - down) / vj)
+            hi = min(1.0, (s - partial + up) / vj)
+            if lo >= hi:
+                return 0.0
+
+            def f(y: float) -> float:
+                return c * (1.0 - y * y) ** b * nxt(partial + vj * y)
+
+            return _quad(f, lo, hi)
+
+        return val
+
+    val = inner
+    for i in reversed(range(len(outer))):
+        j = outer[i]
+        # v as Python floats: the same arithmetic as numpy scalars, but faster
+        val = level(consts[j], betas[j], float(v[j]), float(below[i]), float(above[i]), val)
+    return val
+
+
 def _cap_general(v, s, betas) -> float:
     consts = [ball_density_const(1, b) for b in betas]
     order = np.argsort(v)          # innermost = largest component
@@ -155,27 +191,9 @@ def _cap_general(v, s, betas) -> float:
         lo = max(lo, -1.0)
         return c_in * (scale * (betainc(a, a, (1.0 - lo) / 2.0) * beta_fn))
 
-    def outer_level(c: float, b: float, vj: float, reach: float, nxt):
-        def val(partial: float) -> float:
-            # below lo the later coordinates cannot reach the halfspace,
-            # so the integrand vanishes; clamping keeps quadrature panels
-            # on the actual support when the cap is thin
-            lo = max(-1.0, (s - partial - reach) / vj)
-            if lo >= 1.0:
-                return 0.0
-
-            def f(y: float) -> float:
-                return c * (1.0 - y * y) ** b * nxt(partial + vj * y)
-
-            return _quad(f, lo, 1.0)
-
-        return val
-
-    val = inner_val
-    for i in reversed(range(len(outer))):
-        j = outer[i]
-        val = outer_level(consts[j], betas[j], float(v[j]), float(rest[i]), val)
-    return val(0.0)
+    # a cap has no upper limit: raising y . v never leaves it
+    inf = [math.inf] * len(outer)
+    return _outer_levels(s, consts, betas, v, outer, rest, inf, inner_val)(0.0)
 
 
 def _cap_corner(v, s, betas) -> float:
@@ -206,7 +224,7 @@ def _cap_corner(v, s, betas) -> float:
         x = t_in * zprod
         return (4.0 / x) ** b_in * (2.0 / x) * (betainc(a, a, x / 2.0) * beta_fn)
 
-    def outer_level(b: float, e: float, ti: float, nxt):
+    def z_level(b: float, e: float, ti: float, nxt):
         def val(zprod: float) -> float:
             def f(z: float) -> float:
                 alpha = (1.0 - z) * zprod
@@ -218,7 +236,7 @@ def _cap_corner(v, s, betas) -> float:
 
     val = inner_val
     for i in reversed(range(m - 1)):
-        val = outer_level(float(betas[i]), float(expo[i]), float(t[i]), val)
+        val = z_level(float(betas[i]), float(expo[i]), float(t[i]), val)
     return prefactor * val(1.0)
 
 
@@ -293,27 +311,12 @@ def section_content_meta(cap: MetaCap, betas: Sequence[float]) -> float:
         return _quad(f, lo, hi)
 
     # sup of what the coordinates after level i (plus inner and solved
-    # ones) can still contribute; outside [lo, hi] the slice is empty
+    # ones) can still contribute, either way
     rest = [
         v[inner] + v[solve] + sum(v[j] for j in outer[i + 1:])
         for i in range(len(outer))
     ]
-
-    def level(i: int, partial: float) -> float:
-        if i == len(outer):
-            return inner_val(partial)
-        j = outer[i]
-        lo = max(-1.0, (s - partial - rest[i]) / v[j])
-        hi = min(1.0, (s - partial + rest[i]) / v[j])
-        if lo >= hi:
-            return 0.0
-
-        def f(y: float) -> float:
-            return consts[j] * (1.0 - y * y) ** betas[j] * level(i + 1, partial + v[j] * y)
-
-        return _quad(f, lo, hi)
-
-    return level(0, 0.0) / float(v[solve])
+    return _outer_levels(s, consts, betas, v, outer, rest, rest, inner_val)(0.0) / float(v[solve])
 
 
 def cap_content_full_mc(
@@ -323,11 +326,9 @@ def cap_content_full_mc(
     s: float,
     n_samples: int,
     rng,
-) -> tuple[float, float]:
-    """Monte Carlo mass of {x . w >= s} under the block-beta law.
-
-    Returns (estimate, stderr) with the binomial standard error.
-    """
+) -> float:
+    """Monte Carlo mass of {x . w >= s} under the block-beta law: the
+    fraction of n_samples draws that land in the halfspace."""
     gen = as_generator(rng)
     w = np.asarray(w, dtype=float)
     if w.shape != (bs.dim,):
@@ -337,10 +338,7 @@ def cap_content_full_mc(
     proj = pts[:, 0] * w[0]
     for j in range(1, bs.dim):
         proj += pts[:, j] * w[j]
-    hits = proj >= s
-    p = float(hits.mean())
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / len(hits))
-    return p, se
+    return float((proj >= s).mean())
 
 
 def reduction_constant(bs: BlockStructure, bp: BetaParams) -> float:
@@ -406,8 +404,7 @@ def verify_reduction(
     for t in range(trials):
         p_ref, v, s = 0.0, None, 0.0
         for _ in range(64):
-            v = np.abs(gen.standard_normal(bs.m))
-            v /= np.linalg.norm(v)
+            v = np.abs(_unit_vector(gen, bs.m))
             if bs.m > 1 and v.min() < 0.1:
                 continue
             cap = MetaCap(v, 0.0)
@@ -418,7 +415,7 @@ def verify_reduction(
                 break
         units = [_unit_vector(gen, d) for d in bs.dims]
         w = embed_direction(bs, v, units)
-        p_hat, _ = cap_content_full_mc(bs, bp, w, s, n_samples, gen)
+        p_hat = cap_content_full_mc(bs, bp, w, s, n_samples, gen)
         se_ref = math.sqrt(p_ref * (1.0 - p_ref) / n_samples)
         z = (p_hat - p_ref) / se_ref if se_ref > 0 else math.inf
         rep.add(Check(
@@ -444,17 +441,17 @@ def _ratio_checks(rep, label, gaps, ratios):
                   stat_name="ratio", stat=spread, passed=spread <= BOUNDS_SPREAD_MAX))
 
 
-def verify_bounds(m: int, betas: Sequence[float]) -> Report:
+def verify_bounds(betas: Sequence[float]) -> Report:
     """Cap and section contents against their power-law envelopes.
 
     In the corner range s in (s1(v), ||v||_1) the cap is comparable to
     gap^(sum beta + m) prod v_i^-(beta_i+1) and the section to the same
     with one less power of the gap; comparability means the log-log
     slope of measured/bound is flat and the ratio spread is bounded.
+    The cube has one dimension per weight.
     """
     betas = [float(b) for b in betas]
-    if len(betas) != m:
-        raise ValueError(f"m={m} but {len(betas)} beta weights")
+    m = len(betas)
     if m > 1 and any(b < 0 for b in betas):
         raise ValueError("section bounds need nonnegative beta weights for m >= 2")
     rep = Report(title=f"bounds m={m} betas={tuple(betas)}")
@@ -466,13 +463,11 @@ def verify_bounds(m: int, betas: Sequence[float]) -> Report:
         if m == 1:
             v = np.array([1.0])
         else:
-            v = np.abs(gen.standard_normal(m))
-            v /= np.linalg.norm(v)
+            v = np.abs(_unit_vector(gen, m))
             while v.min() < BOUNDS_MIN_COMPONENT:
-                v = np.abs(gen.standard_normal(m))
-                v /= np.linalg.norm(v)
-        one_norm = float(v.sum())
-        s1 = one_norm - 2.0 * float(v.min())
+                v = np.abs(_unit_vector(gen, m))
+        corner = MetaCap(v, 0.0)
+        one_norm, s1 = corner.one_norm, corner.s1
         vs_factor = float(np.prod(v ** -(np.asarray(betas) + 1.0)))
 
         # cap against gap^(beta_sum + m) in (s1, one_norm)

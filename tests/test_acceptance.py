@@ -309,7 +309,7 @@ def test_primary_08_efron_identity():
 def test_primary_09_bound_envelopes():
     bad = []
     for betas in ((2.0,), (0.5, 0.5), (0.0, 1.0, 0.5)):
-        rep = verify_bounds(len(betas), betas)
+        rep = verify_bounds(betas)
         if not rep.passed:
             bad.append((betas, [c for c in rep.checks if not c.passed]))
     _verdict("PRIMARY-09", not bad, "log-log slopes flat and ratio spreads bounded, m=1,2,3")

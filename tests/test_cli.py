@@ -77,6 +77,28 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("block_dims", [2.9, 1]),
+    ("block_dims", [2, True]),
+    ("n_grid", [100.7, 200]),
+    ("reps", 2.5),
+    ("reps", True),
+    ("root_seed", 1.5),
+])
+def test_config_rejects_numbers_it_would_have_to_truncate(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, **{field: value})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be an integer" in err and "internal" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_integral_floats():
+    cfg = make_config(block_dims=[2.0, 1.0], n_grid=[20.0, 1e5], reps=2.0, root_seed=1e3)
+    assert cfg == make_config(block_dims=[2, 1], n_grid=[20, 100_000], reps=2, root_seed=1000)
+    assert all(type(x) is int for x in (*cfg.block_dims, *cfg.n_grid, cfg.reps, cfg.root_seed))
+
+
 def test_config_default_grid_and_name():
     cfg = ExperimentConfig.from_dict({"block_dims": [2]})
     assert cfg.n_grid == default_n_grid()
@@ -360,6 +382,22 @@ def test_load_record_reads_raw_csv_whatever_an_old_record_names(tmp_path):
     (record_dir / "record.json").write_text(json.dumps({**record, "csv": "elsewhere.csv"}))
     again, raw_again = load_record(record_dir)
     assert again == config and np.array_equal(raw_again, raw, equal_nan=True)
+
+
+def test_fit_rejects_a_raw_csv_written_for_another_container(tmp_path, capsys):
+    # a (2,) record's raw.csv under a (2,1) config of the same grid and reps:
+    # the rows parse, but their columns are not the ones the config writes
+    grid = [10, 32, 100, 320, 1000]
+    ball = simulate(make_config(name="ball", block_dims=[2], betas=[0], n_grid=grid), tmp_path)
+    record_dir = simulate(make_config(name="cyl", betas=[0, 0], n_grid=grid), tmp_path)
+    (record_dir / "raw.csv").write_bytes((ball / "raw.csv").read_bytes())
+    for observable in ("f_2", "f_0"):
+        assert main(["fit", "--record", str(record_dir), "--observable", observable]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n,rep,f_0,f_1,volume_deficit,seed_stream" in captured.err
+        assert "n,rep,f_0,f_1,f_2,volume_deficit,seed_stream" in captured.err
+        assert "internal" not in captured.err
 
 
 def test_load_record_rejects_missing_rows(tmp_path):
