@@ -435,7 +435,9 @@ def _cmd_fit(args) -> int:
     print(f"predicted: exponent={exponent:.6g} log_power={log_power}")
     print(f"fitted: exponent={fit.exponent:.6g} +- {fit.exponent_se:.2g} "
           f"r2={fit.r_squared:.5f}")
-    print("local slopes: " + " ".join(f"{x:.4g}+-{e:.2g}" for x, e in zip(slopes, slope_se)))
+    # one rep per n has no spread to estimate: those errors are unknown, not 0
+    errors = [f"{e:.2g}" if config.reps > 1 else "?" for e in slope_se]
+    print("local slopes: " + " ".join(f"{x:.4g}+-{e}" for x, e in zip(slopes, errors)))
     return 0
 
 

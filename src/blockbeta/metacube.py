@@ -37,6 +37,7 @@ chord decomposition, order-of-magnitude bounds) and emits a Report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +47,7 @@ from scipy.special.cython_special import betainc
 
 from .core import BetaParams, BlockStructure
 from .report import Check, Report
-from .sampler import RngStream, as_generator, ball_density_const, sample_block_beta
+from .sampler import RngStream, as_generator, ball_density_const, block_draws
 
 ZERO_COMPONENT_TOL = 1e-14
 QUAD_ABS_TOL = 1e-10
@@ -328,16 +329,30 @@ def cap_content_full_mc(
     rng,
 ) -> float:
     """Monte Carlo mass of {x . w >= s} under the block-beta law: the
-    fraction of n_samples draws that land in the halfspace."""
+    fraction of n_samples draws that land in the halfspace.
+
+    The draws are sample_block_beta's, block by block: each block's
+    columns are folded into the projection in column order and the block
+    is dropped before the next one is drawn, so the (n_samples, dim)
+    cloud is never held.
+    """
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral)
+            or n_samples < 1):
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     gen = as_generator(rng)
     w = np.asarray(w, dtype=float)
     if w.shape != (bs.dim,):
         raise ValueError(f"expected a direction of shape ({bs.dim},), got {w.shape}")
-    pts = sample_block_beta(bs, bp, gen, size=int(n_samples))
     # no BLAS: a threaded matmul leaves OpenBLAS's worker spinning on the cores verify's pool uses
-    proj = pts[:, 0] * w[0]
-    for j in range(1, bs.dim):
-        proj += pts[:, j] * w[j]
+    proj, j = None, 0
+    for block in block_draws(bs, bp, gen, int(n_samples)):
+        for col in range(block.shape[1]):
+            if proj is None:
+                proj = block[:, col] * w[j]
+            else:
+                proj += block[:, col] * w[j]
+            j += 1
+        del block  # else it lives on while the next block is drawn
     return float((proj >= s).mean())
 
 

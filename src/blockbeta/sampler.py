@@ -12,8 +12,11 @@ Block products draw each factor independently and concatenate.
 
 Reproducibility contract: a stream is identified by (root_seed,
 stream_index); equal identifiers give bit-identical draws.  Within one
-generator the draw order is fixed (directions first, then radii, block
-by block), so vectorized and repeated calls stay deterministic.
+generator the draw order is fixed (block by block, directions first,
+then radii), so vectorized and repeated calls stay deterministic.
+block_draws is the one definition of that order: sample_block_beta
+concatenates its blocks, and cap_content_full_mc folds each block into
+its projection and drops it before the next one is drawn.
 RngStream(s, 0) draws the same bits as np.random.default_rng(s), so a
 generator seeded directly with s would share stream 0 with whoever
 holds it: seed only through RngStream.
@@ -35,6 +38,7 @@ exact p-value are equal bit for bit to scipy.stats.kstest.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,15 +122,18 @@ def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     return dirs
 
 
-def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.ndarray:
-    """Draw size block-beta points in the ball product; blocks independent."""
+def block_draws(bs: BlockStructure, bp: BetaParams, rng, size: int) -> Iterator[np.ndarray]:
+    """Yield each block's size draws, shape (size, d_i), in the stream's order."""
     if bs.m != len(bp.betas):
         raise ValueError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
     gen = as_generator(rng)
-    parts = [
-        sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=size)
-        for d, b in zip(bs.dims, bp.betas)
-    ]
+    for d, b in zip(bs.dims, bp.betas):
+        yield sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=size)
+
+
+def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.ndarray:
+    """Draw size block-beta points in the ball product; blocks independent."""
+    parts = list(block_draws(bs, bp, rng, size))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 

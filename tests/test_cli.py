@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -478,6 +479,20 @@ def test_main_fit_prints_local_slopes_of_a_known_power_law(tmp_path, capsys):
     assert main(["fit", "--record", str(record_dir), "--n-min", "1000"]) == 2
     err = capsys.readouterr().err
     assert err == "error: need >= 5 distinct n values, got 4\n"
+
+
+def test_main_fit_prints_unknown_slope_errors_for_a_one_rep_record(tmp_path, capsys):
+    cfg = write_config(tmp_path, block_dims=[2], n_grid=[10, 30, 100, 300, 1000], reps=1)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--record", str(out / "cli")]) == 0
+    label, _, values = capsys.readouterr().out.strip().split("\n")[-1].partition(": ")
+    assert label == "local slopes"
+    slopes = [v.split("+-") for v in values.split()]
+    assert len(slopes) == 4
+    for slope, error in slopes:
+        assert math.isfinite(float(slope)) and error == "?"
 
 
 def test_main_internal_error_exits_3(monkeypatch, capsys):

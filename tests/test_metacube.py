@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -409,7 +410,7 @@ def test_halfspace_mass_single_block_matches_marginal():
     assert abs(p_hat - p_ref) < 4 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
-@pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (3, 2)])
+@pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (3, 2), (4,), (1, 1, 1, 1, 1, 1)])
 def test_halfspace_hits_equal_the_matmul_reference(dims):
     bs = BlockStructure(dims)
     bp = BetaParams(tuple(0.5 * i for i in range(bs.m)))
@@ -427,6 +428,30 @@ def test_halfspace_mass_rejects_a_direction_of_the_wrong_length():
     for w in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="shape"):
             cap_content_full_mc(bs, BetaParams.uniform(2), w, 0.0, 10, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("n_samples", [0, -5, 2.7])
+def test_halfspace_mass_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
+    bs = BlockStructure((2, 1))
+    with pytest.raises(ValueError, match="positive integer"):
+        cap_content_full_mc(bs, BetaParams.uniform(2), [1.0, 0.0, 0.0], 0.0, n_samples,
+                            RngStream(0, 0))
+
+
+def test_halfspace_mass_never_holds_the_whole_cloud():
+    # six one-dimensional blocks: the (n, 6) cloud would be 6 n doubles,
+    # and concatenating the blocks into it would hold two such copies
+    bs = BlockStructure((1,) * 6)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cap_content_full_mc(bs, BetaParams.uniform(6), np.full(6, 6 ** -0.5), 0.1, n,
+                            RngStream(5, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 6 * np.dtype(float).itemsize
 
 
 def test_verify_reduction_smoke():
