@@ -31,7 +31,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
 import platform
 import resource
@@ -47,7 +46,7 @@ import scipy
 
 from . import __version__
 from .asymptotics import InsufficientSpan, efron_check, fit_rate, local_slopes, verify_aw
-from .core import BetaParams, BlockStructure, predict_rate, volume_deficit_rate
+from .core import BetaParams, BlockStructure, as_int, predict_rate, volume_deficit_rate
 from .hull import DegenerateInput, convex_hull, f_vector, verify_hull, volume
 from .metacube import (
     verify_blaschke_petkantschin_2d,
@@ -99,16 +98,6 @@ def _parse_beta(x):
     raise ConfigError(f"invalid beta weight {x!r}")
 
 
-def _parse_int(x, field: str) -> int:
-    """x as an int when it is an integral number (JSON's 1e5 too); a bool,
-    a fraction or anything else is a usage error, never truncated."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return int(x)
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ConfigError(f"{field} must be an integer, got {x!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     block_dims: tuple[int, ...]
@@ -131,13 +120,13 @@ class ExperimentConfig:
         # the conversions below raise TypeError or ValueError on input of
         # the wrong type or shape; either is a usage error
         try:
-            dims = tuple(_parse_int(d, "block_dims") for d in raw["block_dims"])
+            dims = tuple(as_int(d, "block_dims") for d in raw["block_dims"])
             betas = tuple(_parse_beta(b) for b in raw.get("betas", [0] * len(dims)))
             bs = BlockStructure(dims)
             bp = BetaParams(betas)
-            n_grid = tuple(_parse_int(n, "n_grid") for n in raw.get("n_grid", default_n_grid()))
-            reps = _parse_int(raw.get("reps", 10), "reps")
-            root_seed = _parse_int(raw.get("root_seed", 0), "root_seed")
+            n_grid = tuple(as_int(n, "n_grid") for n in raw.get("n_grid", default_n_grid()))
+            reps = as_int(raw.get("reps", 10), "reps")
+            root_seed = as_int(raw.get("root_seed", 0), "root_seed")
             observables = tuple(raw.get("observables", ["f_vector"]))
             bad = set(observables) - OBSERVABLES
         except (TypeError, ValueError) as exc:

@@ -14,12 +14,25 @@ of block i.  Everything here is exact bookkeeping; no simulation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 # Relative tolerance for k_i ties when beta weights are floats.  Exact
 # rational comparison is used whenever every weight is an int/Fraction.
 TIE_REL_TOL = 1e-12
+
+
+def as_int(x, what: str) -> int:
+    """x as an int when it is an integral number (numpy integers and 1e5
+    too); a bool, a fraction or anything else raises ValueError, never
+    truncated."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +42,7 @@ class BlockStructure:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(as_int(d, "block dimension") for d in self.dims)
         if len(dims) == 0:
             raise ValueError("need at least one block")
         if any(d < 1 for d in dims):
@@ -47,7 +60,7 @@ class BlockStructure:
 
 @dataclass(frozen=True)
 class BetaParams:
-    """One weight beta_i > -1 per block.
+    """One finite weight beta_i > -1 per block.
 
     Weights may be ints, Fractions or floats.  Rational weights keep
     rate prediction exact; floats fall back to tolerance comparisons.
@@ -59,6 +72,8 @@ class BetaParams:
         betas = tuple(self.betas)
         if len(betas) == 0:
             raise ValueError("need at least one weight")
+        if not all(math.isfinite(float(b)) for b in betas):
+            raise ValueError(f"beta weights must be finite, got {betas}")
         if any(float(b) <= -1.0 for b in betas):
             raise ValueError(f"beta weights must exceed -1, got {betas}")
         object.__setattr__(self, "betas", betas)

@@ -42,9 +42,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .core import BetaParams, BlockStructure
+from .core import BetaParams, BlockStructure, as_int
 from .report import Check, Report
 
 # coarse stride of _ks_one_sample, and how far below the best value a
@@ -61,11 +60,14 @@ class BetaBallLaw:
     beta: float
 
     def __post_init__(self):
-        if int(self.dim) < 1:
+        dim = as_int(self.dim, "dimension")
+        if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        if not math.isfinite(float(self.beta)):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if float(self.beta) <= -1.0:
             raise ValueError(f"beta must exceed -1, got {self.beta}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,9 @@ def as_generator(rng) -> np.random.Generator:
 
 def ball_density_const(k: int, beta: float) -> float:
     """c_{beta,k}, the normalizing constant of the weighted ball law."""
+    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
+    from scipy import special
+
     return math.exp(
         special.gammaln(k / 2.0 + beta + 1.0)
         - special.gammaln(beta + 1.0)
@@ -99,6 +104,9 @@ def ball_density_const(k: int, beta: float) -> float:
 
 def ball_volume(k: int) -> float:
     """Volume of the Euclidean unit ball B_2^k."""
+    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
+    from scipy import special
+
     return math.pi ** (k / 2.0) / special.gamma(k / 2.0 + 1.0)
 
 
@@ -145,7 +153,8 @@ def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
     the module docstring for the block bound.  Raises ValueError on an
     empty or non-finite x.
     """
-    # imported here: scipy.stats costs the CLI about 31 MiB and 0.7 s at start-up
+    # imported here: scipy.stats, with the scipy.special it loads, costs the
+    # CLI about 70 MiB and 1 s at start-up
     from scipy import stats
 
     x = np.sort(np.asarray(x, dtype=np.float64))
@@ -182,7 +191,8 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
     the rounding of the bounds.  Its D and p are equal bit for bit to
     scipy.stats.kstest.  The projection checks use ks_2samp.
     """
-    from scipy import stats
+    # imported here: scipy.stats and scipy.special cost the CLI about 70 MiB and 1 s at start-up
+    from scipy import special, stats
 
     rep = Report(title="sampler laws")
     gen = as_generator(rng)

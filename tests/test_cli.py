@@ -355,14 +355,21 @@ def _fresh_python(*args):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # only quadrature and the KS checks load these, at their first call
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.stats")
+    # quadrature, the KS checks, the special functions and qhull load
+    # these at their first call; predict needs none of them
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.stats", "scipy.special",
+             "scipy.spatial", "scipy.linalg", "scipy.sparse")
+    loaded = (f"print(sorted(m for m in sys.modules "
+              f"if '.'.join(m.split('.')[:2]) in {heavy!r}))")
     for module in ("blockbeta", "blockbeta.cli"):
-        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-                f"if '.'.join(m.split('.')[:2]) in {heavy!r}))")
-        out = _fresh_python("-c", code)
+        out = _fresh_python("-c", f"import sys, {module}; {loaded}")
         assert out.returncode == 0, out.stderr
         assert out.stdout == "[]\n", module
+    predict = "import sys, blockbeta.cli; blockbeta.cli.main(['predict', '--dims', '2,1,1'])"
+    out = _fresh_python("-c", f"{predict}; {loaded}")
+    assert out.returncode == 0, out.stderr
+    assert "facet count ~ n^0.333333 * (ln n)^0" in out.stdout
+    assert out.stdout.endswith("\n[]\n")
 
 
 def test_verify_in_a_fresh_interpreter_equals_verify_in_process(capsys):
@@ -374,6 +381,23 @@ def test_verify_in_a_fresh_interpreter_equals_verify_in_process(capsys):
     fresh = _fresh_python("-m", "blockbeta", *args)
     assert fresh.stderr == ""
     assert (fresh.returncode, fresh.stdout) == (main(args), capsys.readouterr().out)
+
+
+def test_simulate_in_a_fresh_interpreter_equals_simulate_in_process(tmp_path):
+    # the fresh process loads scipy.spatial and scipy.special at its first
+    # hull and volume, from two replication threads at once; this one has
+    # them loaded already
+    import scipy.spatial  # noqa: F401
+    import scipy.special  # noqa: F401
+
+    cfg = write_config(tmp_path, block_dims=[2, 1], n_grid=[20, 40, 80], reps=2,
+                       observables=["f_vector", "volume_deficit"])
+    fresh = _fresh_python("-m", "blockbeta", "simulate", "--config", str(cfg),
+                          "--out", str(tmp_path / "fresh"), "--workers", "2")
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    here = simulate(ExperimentConfig.from_dict(json.loads(cfg.read_text())),
+                    tmp_path / "here", workers=2)
+    assert (tmp_path / "fresh" / "cli" / "raw.csv").read_bytes() == (here / "raw.csv").read_bytes()
 
 
 def test_load_record_reads_raw_csv_whatever_an_old_record_names(tmp_path):
@@ -556,6 +580,9 @@ NEGATIVE_BETA_CONFIG = {
     (["simulate", "--budget-override", "0"], json.dumps({"block_dims": [2], "n_grid": [10]})),
     (["simulate", "--budget-override=-1"], json.dumps({"block_dims": [2], "n_grid": [10]})),
     (["simulate", "--budget-override", "nan"], json.dumps({"block_dims": [2], "n_grid": [10]})),
+    # json writes these weights as NaN and Infinity, and reads them back
+    (["simulate"], json.dumps({"block_dims": [2], "betas": [math.nan], "n_grid": [10]})),
+    (["simulate"], json.dumps({"block_dims": [2], "betas": [math.inf], "n_grid": [10]})),
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":

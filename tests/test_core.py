@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -14,6 +17,8 @@ def test_block_structure_basics():
     bs = BlockStructure((2, 1))
     assert bs.m == 2
     assert bs.dim == 3
+    bs = BlockStructure((np.int64(2), np.int32(1), 3.0))
+    assert bs.dims == (2, 1, 3) and all(type(d) is int for d in bs.dims)
 
 
 def test_block_structure_rejects_bad_dims():
@@ -21,6 +26,10 @@ def test_block_structure_rejects_bad_dims():
         BlockStructure(())
     with pytest.raises(ValueError):
         BlockStructure((2, 0))
+    # never truncated: 2.5 is not 2, True is not 1
+    for dims in ((2.5,), (2, True), (1, 1.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BlockStructure(dims)
 
 
 def test_beta_params_validation():
@@ -28,6 +37,9 @@ def test_beta_params_validation():
         BetaParams((-1,))
     with pytest.raises(ValueError):
         BetaParams(())
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BetaParams((0, beta))
     assert BetaParams.uniform(3).as_floats() == (0.0, 0.0, 0.0)
 
 

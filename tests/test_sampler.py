@@ -58,6 +58,14 @@ def test_law_validation():
         BetaBallLaw(0, 0.0)
     with pytest.raises(ValueError):
         BetaBallLaw(2, -1.0)
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BetaBallLaw(dim, 0.0)
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BetaBallLaw(2, beta)
+    law = BetaBallLaw(np.int64(3), 0.5)
+    assert law.dim == 3 and type(law.dim) is int
 
 
 def test_rng_stream_determinism():
