@@ -12,16 +12,20 @@ directory containing raw.csv (one row per hull) plus record.json
 (config, hash, aggregates, retried rows per n, worker count, peak
 RSS).  Every replication goes through replicate, which draws from the
 named random stream (root_seed, stream index); replicate_rows runs the
-rows on WORKERS threads, largest n first, and returns them in row order,
-so output is byte-identical for any worker count.  Each thread holds one
-replication's point cloud and hull at a time: two (2,1,1) replications
-at n = 10^7 peak at 1.8 GB with the default two threads (1.2 GB with
---workers 1, at twice the wall time), so large-n runs fit a desk machine
-at the default.
-verify runs the suites of the SUITES registry on WORKERS threads and
-prints their reports in registry order; each Monte Carlo suite draws
-from its own stream, named in SUITES, so the output does not depend on
-the schedule.
+rows on WORKERS threads (run_threads), largest n first, and returns them
+in row order, so output is byte-identical for any worker count.  Each
+thread holds one replication's point cloud and hull at a time: two
+(2,1,1) replications at n = 10^7 peak at 1.8 GB with the default two
+threads (1.2 GB with --workers 1, at twice the wall time), so large-n
+runs fit a desk machine at the default.
+verify runs the suites of the SUITES registry on the same WORKERS
+threads, started longest first (SUITE_START_ORDER), and prints their
+reports in registry order; each Monte Carlo suite draws from its own
+stream, named in SUITES, so the output does not depend on the schedule.
+The two threads do not wait on each other: the sampler suite's slow
+exact KS p-value runs without the GIL (sampler._kstwo_sf), and the
+two-route suites reduce each route to its (mean, se) as soon as it is
+drawn, so the big-array suites can overlap without raising the peak.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -220,24 +225,35 @@ def replicate(bs: BlockStructure, bp: BetaParams, n: int, root_seed: int,
     ) from last_exc
 
 
+def run_threads(calls, start_order, workers: int = WORKERS) -> list:
+    """Run every call of calls on a pool of workers threads, starting them
+    in start_order (a permutation of their indices), and return their
+    results in index order.
+
+    If calls fail, the error of the first failing call in index order is
+    raised, as running them one after another would raise it, and no call
+    that has not started is started.
+    """
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = {i: pool.submit(calls[i]) for i in start_order}
+        return [futures[i].result() for i in range(len(calls))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def replicate_rows(bs: BlockStructure, bp: BetaParams, ns, root_seed: int,
                    first_stream: int = 0, want_volume: bool = False,
                    workers: int = WORKERS) -> list:
     """replicate for each n of ns, row i on stream first_stream + i.
 
-    The rows run on a pool of workers threads, largest n first, so the
-    costliest rows do not start last; the results come back in row order.
-    If rows fail, the error of the first failing row in row order is raised.
+    The rows run on workers threads, largest n first, so the costliest
+    rows do not start last; the results come back in row order.
     """
+    calls = [partial(replicate, bs, bp, n, root_seed, first_stream + i, want_volume)
+             for i, n in enumerate(ns)]
     # sorted is stable: rows of equal n keep their order
-    order = sorted(range(len(ns)), key=lambda i: -ns[i])
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = {i: pool.submit(replicate, bs, bp, ns[i], root_seed, first_stream + i,
-                                  want_volume) for i in order}
-        return [futures[i].result() for i in range(len(ns))]
-    finally:
-        pool.shutdown(cancel_futures=True)    # after a crash, start no more rows
+    return run_threads(calls, sorted(range(len(ns)), key=lambda i: -ns[i]), workers)
 
 
 def _peak_rss_mb() -> float:
@@ -474,6 +490,13 @@ SUITES = {
 }
 
 
+# the suites of SUITES, longest first at verify's defaults (sampler 0.66 s,
+# hull 0.45, reduction 0.35, efron 0.15, the rest 0.05 s or less, run
+# alone on a 2-vCPU Xeon), so the last ones to start are the short ones
+SUITE_START_ORDER = ("sampler", "hull", "reduction", "efron", "bp2d", "polyspherical",
+                     "bounds", "aw")
+
+
 def _cmd_verify(args) -> int:
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2 for a standard error, got {args.samples}")
@@ -482,17 +505,9 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.seed < 2 ** 64:
         raise ConfigError(f"--seed must fit in u64, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-
-    def run(name):
-        return SUITES[name](args.seed, args.trials, args.samples)
-
-    pool = ThreadPoolExecutor(WORKERS)
-    try:
-        # map yields in registry order and re-raises the first failing
-        # suite's exception, as running them one after another would
-        reports = [rep for reps in pool.map(run, names) for rep in reps]
-    finally:
-        pool.shutdown(cancel_futures=True)    # after a crash, start no more suites
+    calls = [partial(SUITES[name], args.seed, args.trials, args.samples) for name in names]
+    start = [names.index(name) for name in SUITE_START_ORDER if name in names]
+    reports = [rep for reps in run_threads(calls, start) for rep in reps]
     for rep in reports:
         print(rep)
     return 0 if all(rep.passed for rep in reports) else 1

@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import BetaParams, BlockStructure
 from .report import Check, Report
-from .sampler import RngStream, as_generator, ball_density_const, block_draws
+from .sampler import RngStream, as_generator, ball_density_const, block_draws, row_norms
 
 ZERO_COMPONENT_TOL = 1e-14
 QUAD_ABS_TOL = 1e-10
@@ -511,11 +511,15 @@ def verify_bounds(betas: Sequence[float]) -> Report:
     return rep
 
 
-def _two_route_report(title: str, name: str, vals_l, vals_r, exact) -> Report:
-    """z-test of the Monte Carlo means of two routes to one integral, and
-    of the second route against the exact value when there is one."""
-    lhs, se_l = float(vals_l.mean()), float(vals_l.std(ddof=1) / math.sqrt(len(vals_l)))
-    rhs, se_r = float(vals_r.mean()), float(vals_r.std(ddof=1) / math.sqrt(len(vals_r)))
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of values and its standard error (NaN for one value)."""
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def _two_route_report(title: str, name: str, left, right, exact) -> Report:
+    """z-test of the Monte Carlo (mean, se) of two routes to one integral,
+    and of the second route against the exact value when there is one."""
+    (lhs, se_l), (rhs, se_r) = left, right
     rep = Report(title=title)
     se = math.hypot(se_l, se_r)
     # a NaN se (one sample) gives a NaN z, which fails the check
@@ -548,35 +552,42 @@ def verify_polyspherical(bs: BlockStructure, n_samples: int = 200_000, *, rng) -
     The decomposition integrates over block norms v on the positive
     unit hemisphere-quadrant and unit vectors per block, with density
     weight prod v_i^(d_i - 1).  One set of draws serves every test
-    function: one Report each, in the order of _test_functions.
+    function: one Report each, in the order of _test_functions.  Each
+    route is reduced to one (mean, se) per test function as soon as it
+    is drawn, and each array is dropped or overwritten once used.
     """
     gen = as_generator(rng)
     fns = _test_functions(bs)
     d, m = bs.dim, bs.m
 
     w_full = gen.standard_normal((n_samples, d))
-    w_full /= np.linalg.norm(w_full, axis=1, keepdims=True)
-    vals_l = [f(w_full) * sphere_area(d) for f, _ in fns.values()]
+    w_full /= row_norms(w_full)[:, None]
+    left = [_mean_se(f(w_full) * sphere_area(d)) for f, _ in fns.values()]
     del w_full
 
     v = np.abs(gen.standard_normal((n_samples, m)))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    blocks = []
+    v /= row_norms(v)[:, None]
+    # block i of the made point is v_i times its unit vector; w_made is
+    # allocated once the first block's norms are dropped
+    w_made, start = None, 0
     for i, di in enumerate(bs.dims):
         u = gen.standard_normal((n_samples, di))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        blocks.append(v[:, i:i + 1] * u)
-    w_made = np.concatenate(blocks, axis=1)
-    del blocks
-    weight = np.prod(v ** (np.asarray(bs.dims) - 1.0), axis=1)
+        u /= row_norms(u)[:, None]
+        if w_made is None:
+            w_made = np.empty((n_samples, d))
+        np.multiply(v[:, i:i + 1], u, out=w_made[:, start:start + di])
+        start += di
+        del u
+    weight = np.prod(np.power(v, np.asarray(bs.dims) - 1.0, out=v), axis=1)
+    del v
     measure = (sphere_area(m) / 2.0 ** m) * float(
         np.prod([sphere_area(di) for di in bs.dims])
     )
     reports = []
-    for (t, (f, exact)), lhs in zip(fns.items(), vals_l):
+    for (t, (f, exact)), lhs in zip(fns.items(), left):
         reports.append(_two_route_report(
             f"polyspherical dims={bs.dims} f={t}", "decomposition",
-            lhs, f(w_made) * weight * measure, exact,
+            lhs, _mean_se(f(w_made) * weight * measure), exact,
         ))
     return reports
 
@@ -589,19 +600,24 @@ def _square_chord(w: np.ndarray, s: np.ndarray):
     hi = np.full(len(w), np.inf)
     for j in range(2):
         a = wp[:, j]
-        b = s * w[:, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-1.0 - b) / a
-            t2 = (1.0 - b) / a
-        lo_j = np.minimum(t1, t2)
-        hi_j = np.maximum(t1, t2)
         # near-parallel slab: the line misses or lies inside it outright
         tiny = np.abs(a) < 1e-12
+        b = s * w[:, j]
         inside = np.abs(b) <= 1.0
+        # (-1 - b) / a and (1 - b) / a, the second one in b's place
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = np.subtract(-1.0, b)
+            t1 /= a
+            t2 = np.subtract(1.0, b, out=b)
+            t2 /= a
+        lo_j = np.minimum(t1, t2)
+        hi_j = np.maximum(t1, t2, out=t1)
         lo_j[tiny] = np.where(inside[tiny], -np.inf, np.inf)
         hi_j[tiny] = np.where(inside[tiny], np.inf, -np.inf)
         np.maximum(lo, lo_j, out=lo)
         np.minimum(hi, hi_j, out=hi)
+        # free this slab's arrays before the next slab's are made
+        del b, t1, t2, lo_j, hi_j
     return lo, hi, wp
 
 
@@ -623,18 +639,19 @@ def verify_blaschke_petkantschin_2d(n_samples: int = 400_000, *, rng) -> list[Re
     weighted by chord length squared and the segment length |t1 - t2|
     (with the 1/2 orientation factor).  One set of draws and chords
     serves every test function: one Report each, in the order of
-    _BP_TEST_FUNCTIONS.
+    _BP_TEST_FUNCTIONS.  Each route is reduced to one (mean, se) per
+    test function as soon as it is drawn.
     """
     gen = as_generator(rng)
     n = int(n_samples)
 
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))
-    vals_l = [16.0 * f(x1, x2) for f, _ in _BP_TEST_FUNCTIONS.values()]
+    left = [_mean_se(16.0 * f(x1, x2)) for f, _ in _BP_TEST_FUNCTIONS.values()]
     del x1, x2
 
-    # each array is dropped once used; the draws keep their order
-    # (theta, s, then the two chord points)
+    # each array is dropped or overwritten once used; the draws keep
+    # their order (theta, s, then the two chord points)
     theta = gen.uniform(0.0, 2.0 * math.pi, size=n)
     w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     del theta
@@ -644,22 +661,25 @@ def verify_blaschke_petkantschin_2d(n_samples: int = 400_000, *, rng) -> list[Re
     del w, s
     length = np.clip(hi - lo, 0.0, None)
     del hi
-    ok = length > 0
+    empty = ~(length > 0)
     t1 = lo + gen.uniform(0.0, 1.0, size=n) * length
     t2 = lo + gen.uniform(0.0, 1.0, size=n) * length
     del lo
-    y1 = base + t1[:, None] * wp
-    y2 = base + t2[:, None] * wp
-    del base, wp
     # densities: 1/(2 pi) for direction, 1/4 for s, 1/L per chord point;
     # integrand carries |t1 - t2| Vol_1 and the 1/2 orientation factor
     weight = 4.0 * math.pi * length ** 2 * np.abs(t1 - t2)
-    del length, t1, t2
+    del length
+    # y = base + t wp for each chord point; y2 takes wp's place
+    y1 = base + t1[:, None] * wp
+    y2 = np.multiply(t2[:, None], wp, out=wp)
+    y2 += base
+    del base, t1, t2
     reports = []
-    for (t, (f, exact)), lhs in zip(_BP_TEST_FUNCTIONS.items(), vals_l):
-        f_vals = np.where(ok, f(y1, y2), 0.0)
+    for (t, (f, exact)), lhs in zip(_BP_TEST_FUNCTIONS.items(), left):
+        vals = f(y1, y2) * weight
+        vals[empty] = 0.0
         reports.append(_two_route_report(
             f"pair integral via lines f={t}", "line_decomposition",
-            lhs, np.where(ok, weight * f_vals, 0.0), exact,
+            lhs, _mean_se(vals), exact,
         ))
     return reports

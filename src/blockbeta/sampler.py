@@ -32,7 +32,16 @@ such points a < b every i in it obeys
 so only blocks whose bound exceeds the best evaluated value minus
 KS_SLACK are evaluated in full.  KS_SLACK covers betainc's ulp-level
 non-monotonicity and the rounding of the bounds.  The statistic and its
-exact p-value are equal bit for bit to scipy.stats.kstest.
+exact p-value are equal bit for bit to scipy.stats.kstest.  _kstwo_sf
+takes that p-value from scipy.stats.kstwo.sf(D, n), except in the one
+case where kstwo.sf sums about n terms in 2 scipy.special.smirnov(n, D)
+(n > 140, 1 < nD < n - 1, D < 1/2, 2.2 <= nD^2 < 370; 0.2-0.3 s at
+n = 200 000).  There it makes that same smirnov call itself, on an array
+padded to KS_GIL_FREE_LEN elements: numpy runs a ufunc loop that long
+without the GIL, so the other verify thread runs meanwhile.
+
+row_norms is np.linalg.norm(x, axis=1) bit for bit without the (n, k)
+array of squares (see its docstring).
 """
 
 from __future__ import annotations
@@ -50,6 +59,10 @@ from .report import Check, Report
 # block's bound may fall and still be evaluated in full
 KS_BLOCK = 32
 KS_SLACK = 1e-12
+# numpy releases the GIL for a ufunc loop over more than 500 elements
+KS_GIL_FREE_LEN = 501
+# from this many columns on, numpy's add.reduce sums a row pairwise
+ROW_NORM_PAIRWISE = 8
 
 
 @dataclass(frozen=True)
@@ -118,13 +131,32 @@ def container_volume(bs: BlockStructure) -> float:
     return v
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real 2-D x, equal bit for bit to
+    np.linalg.norm(x, axis=1).
+
+    Below ROW_NORM_PAIRWISE columns numpy's reduction adds a row's squares
+    in column order, so they are summed here column by column into one
+    (n,) array, with no (n, k) array of squares.  From there on numpy sums
+    a row pairwise, and its own reduction is kept.
+    """
+    k = x.shape[1]
+    if k >= ROW_NORM_PAIRWISE:
+        return np.sqrt(np.add.reduce(x * x, axis=1))
+    total = np.multiply(x[:, 0], x[:, 0])
+    if k > 1:
+        square = np.empty_like(total)
+        for j in range(1, k):
+            total += np.multiply(x[:, j], x[:, j], out=square)
+    return np.sqrt(total, out=total)
+
+
 def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     """Draw size points from the beta-weighted ball law; shape (size, dim)."""
     gen = as_generator(rng)
     n = int(size)
     dirs = gen.standard_normal((n, law.dim))
-    # np.linalg.norm's own operations, without its conj() copy of dirs
-    dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))
+    dirs /= row_norms(dirs)[:, None]
     radii = np.sqrt(gen.beta(law.dim / 2.0, float(law.beta) + 1.0, size=n))
     dirs *= radii[:, None]
     return dirs
@@ -145,6 +177,23 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
+def _kstwo_sf(d, n: int) -> np.float64:
+    """scipy.stats.kstwo.sf(d, n) clipped to [0, 1], bit for bit; its
+    2 smirnov(n, d) case runs without the GIL (see the module docstring)."""
+    # imported here: scipy.stats, with the scipy.special it loads, costs the
+    # CLI about 70 MiB and 1 s at start-up
+    from scipy import special, stats
+
+    n = int(n)
+    t = n * d
+    # scipy's own tests, in its order and arithmetic (stats._ksstats._kolmogn)
+    if n > 140 and 1.0 < t < n - 1 and d < 0.5 and 2.2 <= t * d < 370.0:
+        padded = np.ones(KS_GIL_FREE_LEN)     # smirnov(n, 1) returns 0 at once
+        padded[0] = d
+        return np.clip(2 * special.smirnov(n, padded)[0], 0.0, 1.0)
+    return np.clip(np.asarray(stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
+
+
 def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
     """Two-sided one-sample KS statistic and exact p-value of x against cdf.
 
@@ -153,10 +202,6 @@ def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
     the module docstring for the block bound.  Raises ValueError on an
     empty or non-finite x.
     """
-    # imported here: scipy.stats, with the scipy.special it loads, costs the
-    # CLI about 70 MiB and 1 s at start-up
-    from scipy import stats
-
     x = np.sort(np.asarray(x, dtype=np.float64))
     n = x.size
     if n == 0 or not np.isfinite(x).all():
@@ -178,7 +223,7 @@ def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
     d_plus = np.max((idx + 1.0) / n - f)
     d_minus = np.max(f - idx / n)
     d = d_plus if d_plus > d_minus else d_minus
-    return d, np.clip(np.asarray(stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
+    return d, _kstwo_sf(d, n)
 
 
 def verify_sampler(n_samples: int, *, rng) -> Report:
@@ -202,6 +247,7 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
             tsq = np.sum(np.square(pts, out=pts), axis=1)
             del pts
             d, p = _ks_one_sample(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
+            del tsq
             rep.add(Check(
                 name=f"radial_law[k={k},beta={beta}]",
                 value=d, reference=0.0, stat_name="p", stat=p, passed=p > 0.01,
@@ -211,12 +257,13 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
         beta = (full - k) / 2.0
         # each cloud is reduced to its radii before the next is drawn
         direct = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
-        r1 = np.linalg.norm(direct, axis=1)
+        r1 = row_norms(direct)
         del direct
         lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
-        r2 = np.linalg.norm(lifted[:, :k], axis=1)
+        r2 = row_norms(lifted[:, :k])
         del lifted
         res = stats.ks_2samp(r1, r2)
+        del r1, r2
         rep.add(Check(
             name=f"projection[k={k},from={full}]",
             value=res.statistic, reference=0.0,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import blockbeta.cli as cli
 from blockbeta.cli import (
     RETRY_STRIDE,
+    SUITE_START_ORDER,
     SUITES,
     BudgetExceeded,
     ConfigError,
@@ -679,6 +681,40 @@ def test_verify_all_runs_each_suite_in_registry_order(capsys):
         assert main(["verify", "--suite", name, *small]) == 0
         alone.append(capsys.readouterr().out)
     assert together == "".join(alone)
+
+
+def test_suite_start_order_is_a_permutation_of_the_registry():
+    assert sorted(SUITE_START_ORDER) == sorted(SUITES)
+
+
+def test_verify_all_starts_the_suites_in_start_order(monkeypatch, capsys):
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda seed, trials, samples: [])
+    starts = []
+    run_threads = cli.run_threads
+    monkeypatch.setattr(cli, "run_threads",
+                        lambda calls, start: starts.append(start) or run_threads(calls, start))
+    assert main(["verify", "--suite", "all"]) == 0
+    assert [list(SUITES)[i] for i in starts[0]] == list(SUITE_START_ORDER)
+
+
+# traced peak of each big-array suite at --samples 200000, in arrays of
+# 200000 doubles, with a margin of about half an array over the measured
+# 12.06 (sampler, inside stats.ks_2samp), 7.08 and 10.25
+SUITE_PEAK_ARRAYS = {"sampler": 12.5, "polyspherical": 7.5, "bp2d": 10.75}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_PEAK_ARRAYS))
+def test_big_array_suites_stay_under_their_traced_peaks(name):
+    n = 200_000
+    SUITES[name](0, 20, 10)         # the scipy modules it loads at first use
+    tracemalloc.start()
+    try:
+        SUITES[name](0, 20, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SUITE_PEAK_ARRAYS[name] * n * np.dtype(float).itemsize
 
 
 MONTE_CARLO_SUITES = {"sampler", "hull", "reduction", "polyspherical", "bp2d", "efron"}

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from blockbeta.sampler import (
     ball_density_const,
     ball_volume,
     container_volume,
+    row_norms,
     sample_beta_ball,
     sample_block_beta,
     verify_sampler,
     _ks_one_sample,
+    _kstwo_sf,
 )
 
 
@@ -87,6 +91,103 @@ def test_scaling_directions_in_place_keeps_every_bit(k, beta):
     want = dirs * radii[:, None]
     got = sample_beta_ball(BetaBallLaw(k, beta), RngStream(17, k), size=1000)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_sample_beta_ball_keeps_the_bits_of_the_reduce_expression(k):
+    # the directions were once scaled by sqrt(add.reduce(dirs * dirs)); row_norms
+    # must keep those bits in every dimension, pairwise sums included
+    ref_gen = RngStream(2024, k).generator()
+    dirs = ref_gen.standard_normal((5000, k))
+    dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))
+    dirs *= np.sqrt(ref_gen.beta(k / 2.0, 1.5, size=5000))[:, None]
+    got = sample_beta_ball(BetaBallLaw(k, 0.5), RngStream(2024, k), size=5000)
+    assert got.tobytes() == dirs.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("k", range(1, 17))
+def test_row_norms_equal_linalg_norm_bit_for_bit(k, n):
+    gen = RngStream(k, n).generator()
+    # columns of unequal scale, so the order of the sums shows in the bits
+    wide = gen.standard_normal((n, k + 3)) * np.geomspace(0.01, 100.0, k + 3)
+    for x in (np.ascontiguousarray(wide[:, :k]), wide[:, :k], wide[:, 3:], wide[::2, 1:k + 1]):
+        assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+def _first_true(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats (a, b) in [lo, hi] with pred(a) false and pred(b)
+    true, for a predicate that turns true once as the float grows."""
+    assert not pred(lo) and pred(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return lo, hi
+
+
+def _smirnov_route(d: float, n: int) -> bool:
+    # scipy's test for kstwo.sf = 2 smirnov(n, d), in its own arithmetic
+    t = n * d
+    return n > 140 and 1.0 < t < n - 1 and d < 0.5 and 2.2 <= t * d < 370.0
+
+
+def _route_edges():
+    # (n, d) on both sides of each edge of the smirnov route
+    for n in (140, 141):
+        yield n, math.sqrt(5.0 / n)
+    for n, level in ((141, 2.2), (1000, 2.2), (200_000, 2.2), (2000, 370.0), (200_000, 370.0)):
+        yield from zip((n, n), _first_true(lambda d, n=n, level=level: n * d * d >= level,
+                                           0.0, 0.5))
+    yield from zip((1000, 1000), _first_true(lambda d: d >= 0.5, 0.25, 0.75))
+    for n in (141, 1000):
+        yield from zip((n, n), _first_true(lambda d, n=n: n * d > 1.0, 0.0, 1.0))
+        yield from zip((n, n), _first_true(lambda d, n=n: n * d >= n - 1, 0.0, 1.0))
+
+
+def test_kstwo_sf_equals_scipy_on_both_sides_of_the_smirnov_route(monkeypatch):
+    edges = list(_route_edges())
+    assert {_smirnov_route(d, n) for n, d in edges} == {True, False}
+    scipy_sf = stats.kstwo.sf
+    for n, d in edges:
+        want = np.clip(np.asarray(scipy_sf(d, n), dtype=np.float64), 0.0, 1.0)
+        calls = []
+        monkeypatch.setattr(stats.kstwo, "sf", lambda *args: calls.append(args) or scipy_sf(*args))
+        got = _kstwo_sf(np.float64(d), n)
+        monkeypatch.undo()
+        assert type(got) is type(want) and got.tobytes() == want.tobytes(), (n, d)
+        # the smirnov route is the only one that leaves kstwo.sf uncalled
+        assert (not calls) == _smirnov_route(d, n), (n, d)
+
+
+def test_kstwo_sf_lets_other_threads_run_on_the_smirnov_route():
+    d, n = np.float64(0.004), 200_000
+    assert _smirnov_route(d, n)
+    _kstwo_sf(d, 1000)                  # load scipy.stats before the clock starts
+    stop = threading.Event()
+    gaps = []
+
+    def tick():
+        last = time.perf_counter()
+        while not stop.is_set():
+            time.sleep(0.001)
+            now = time.perf_counter()
+            gaps.append(now - last)
+            last = now
+
+    ticker = threading.Thread(target=tick)
+    ticker.start()
+    try:
+        time.sleep(0.02)
+        start = time.perf_counter()
+        _kstwo_sf(d, n)
+        took = time.perf_counter() - start
+    finally:
+        stop.set()
+        ticker.join()
+    # holding the GIL for the whole sum would leave one gap as long as the call
+    assert max(gaps) < took / 4, (max(gaps), took)
 
 
 def test_as_generator_rejects_ints():
