@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .core import BetaParams, BlockStructure
 from .hull import contains_points, convex_hull
@@ -94,9 +95,6 @@ def aw_integral_numeric(a, n: float) -> float:
     n = float(n)
     if n < 3.0:
         raise ValueError(f"need n >= 3, got n={n}")
-    # imported here: scipy.integrate costs the CLI about 12 MiB and 0.16 s at start-up
-    from scipy import integrate
-
     w = _outer_weight(a)
     am = a[-1]
 
@@ -113,7 +111,7 @@ def aw_integral_numeric(a, n: float) -> float:
         cuts.append(min(cuts[-1] * 10.0, n))
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        piece, abserr, _, *warning = integrate.quad(
+        piece, abserr, _, *warning = scipy.integrate.quad(
             integrand, lo, hi, epsabs=1e-300, epsrel=AW_REL_TOL, limit=200, full_output=1
         )
         total += piece

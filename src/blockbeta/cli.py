@@ -51,7 +51,8 @@ import scipy
 
 from . import __version__
 from .asymptotics import InsufficientSpan, efron_check, fit_rate, local_slopes, verify_aw
-from .core import BetaParams, BlockStructure, as_int, predict_rate, volume_deficit_rate
+from .core import (BetaParams, BlockStructure, _check_pair, as_int, predict_rate,
+                   volume_deficit_rate)
 from .hull import DegenerateInput, convex_hull, f_vector, verify_hull, volume
 from .metacube import (
     verify_blaschke_petkantschin_2d,
@@ -129,6 +130,7 @@ class ExperimentConfig:
             betas = tuple(_parse_beta(b) for b in raw.get("betas", [0] * len(dims)))
             bs = BlockStructure(dims)
             bp = BetaParams(betas)
+            _check_pair(bs, bp)
             n_grid = tuple(as_int(n, "n_grid") for n in raw.get("n_grid", default_n_grid()))
             reps = as_int(raw.get("reps", 10), "reps")
             root_seed = as_int(raw.get("root_seed", 0), "root_seed")
@@ -136,8 +138,6 @@ class ExperimentConfig:
             bad = set(observables) - OBSERVABLES
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-        if bs.m != len(bp.betas):
-            raise ConfigError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
         if len(n_grid) == 0 or any(n < bs.dim + 1 for n in n_grid):
             raise ConfigError(f"every n must be >= d+1 = {bs.dim + 1}")
         if len(set(n_grid)) != len(n_grid):
@@ -316,9 +316,16 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
     return record_dir
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (UnicodeDecodeError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -335,7 +342,7 @@ def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
         raise ConfigError(f"{record_dir / 'record.json'} is not an object with a config key")
     config = ExperimentConfig.from_dict(record["config"])
     path = record_dir / "raw.csv"
-    header, *lines = path.read_text().strip().split("\n")
+    header, *lines = _read_text(path).strip().split("\n")
     columns = _header(config)
     if header != ",".join(columns):
         raise ConfigError(f"{path} has columns {header}, but its config writes "

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy
 
 from .predicates import orientation
 from .report import Check, Report
@@ -160,13 +161,9 @@ def convex_hull(points) -> HullResult:
             interior_point=np.array([(pts[lo, 0] + pts[hi, 0]) / 2.0]),
         )
 
-    # imported here: scipy.spatial, with the scipy.linalg and scipy.sparse it loads,
-    # costs the CLI about 12 MiB and 0.12 s at start-up
-    from scipy.spatial import ConvexHull, QhullError
-
     try:
-        qh = ConvexHull(core)
-    except QhullError as exc:          # pragma: no cover - rank check catches most
+        qh = scipy.spatial.ConvexHull(core)
+    except scipy.spatial.QhullError as exc:  # pragma: no cover - rank check catches most
         raise DegenerateInput(f"hull construction failed: {exc}") from exc
 
     facet_vertices = keep[qh.simplices]

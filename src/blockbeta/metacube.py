@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy
 
-from .core import BetaParams, BlockStructure
+from .core import BetaParams, BlockStructure, _check_pair
 from .report import Check, Report
 from .sampler import RngStream, as_generator, ball_density_const, block_draws, row_norms
 
@@ -115,19 +116,14 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     x = min(max(float(x), 0.0), 1.0)
     if x == 0.0:
         return 0.0
-    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
-    from scipy import special
-
-    return float(special.betainc(a, b, x) * math.exp(special.betaln(a, b)))
+    return float(scipy.special.betainc(a, b, x) * math.exp(scipy.special.betaln(a, b)))
 
 
 def _quad(f, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
-    # imported here: scipy.integrate costs the CLI about 12 MiB and 0.16 s at start-up
-    from scipy import integrate
-
-    out = integrate.quad(
+    # read at each call: perfbench's Tracer and the tests patch scipy.integrate.quad
+    out = scipy.integrate.quad(
         f, lo, hi,
         epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
         limit=QUAD_LIMIT, full_output=1,
@@ -173,8 +169,7 @@ def _outer_levels(s, consts, betas, v, outer, below, above, inner):
 
 
 def _cap_general(v, s, betas) -> float:
-    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
-    from scipy import special
+    # imported by name: cython_special is not an attribute of scipy.special
     from scipy.special.cython_special import betainc
 
     consts = [ball_density_const(1, b) for b in betas]
@@ -188,7 +183,7 @@ def _cap_general(v, s, betas) -> float:
     # v as Python floats: the same arithmetic as numpy scalars, but faster
     c_in, v_in, a = consts[inner], float(v[inner]), betas[inner] + 1.0
     scale = 2.0 * 4.0 ** betas[inner]
-    beta_fn = math.exp(special.betaln(a, a))
+    beta_fn = math.exp(scipy.special.betaln(a, a))
 
     def inner_val(partial: float) -> float:
         lo = (s - partial) / v_in
@@ -209,8 +204,7 @@ def _cap_corner(v, s, betas) -> float:
     cap becomes the unit cube, the prefactor prod c_i t_i^(beta_i + 1)
     carries the scale, and the z_m integral is again an incomplete beta.
     """
-    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
-    from scipy import special
+    # imported by name: cython_special is not an attribute of scipy.special
     from scipy.special.cython_special import betainc
 
     m = len(v)
@@ -226,7 +220,7 @@ def _cap_corner(v, s, betas) -> float:
     # numpy's per-operation overhead
     t_in, b_in = float(t[m - 1]), float(betas[m - 1])
     a = b_in + 1.0
-    beta_fn = math.exp(special.betaln(a, a))
+    beta_fn = math.exp(scipy.special.betaln(a, a))
 
     def inner_val(zprod: float) -> float:
         # t_in < 1 and zprod <= 1 keep x / 2 in [0, 1/2), inside
@@ -372,6 +366,7 @@ def reduction_constant(bs: BlockStructure, bp: BetaParams) -> float:
     computed from the definition so the reduction test multiplies by
     the stated constant instead of hard-coding the cancellation.
     """
+    _check_pair(bs, bp)
     const = 1.0
     for d, b in zip(bs.dims, bp.as_floats()):
         shifted = (d - 1) / 2.0 + b
@@ -383,6 +378,7 @@ def reduction_constant(bs: BlockStructure, bp: BetaParams) -> float:
 
 def shifted_betas(bs: BlockStructure, bp: BetaParams) -> list[float]:
     """Meta-cube weights (d_i - 1)/2 + beta_i."""
+    _check_pair(bs, bp)
     return [(d - 1) / 2.0 + b for d, b in zip(bs.dims, bp.as_floats())]
 
 
@@ -399,10 +395,7 @@ def _unit_vector(gen: np.random.Generator, d: int) -> np.ndarray:
 
 def sphere_area(d: int) -> float:
     """Surface measure of S^{d-1}: 2 pi^{d/2} / Gamma(d/2)."""
-    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
-    from scipy import special
-
-    return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+    return 2.0 * math.pi ** (d / 2.0) / scipy.special.gamma(d / 2.0)
 
 
 def verify_reduction(

@@ -33,7 +33,7 @@ so only blocks whose bound exceeds the best evaluated value minus
 KS_SLACK are evaluated in full.  KS_SLACK covers betainc's ulp-level
 non-monotonicity and the rounding of the bounds.  The statistic and its
 exact p-value are equal bit for bit to scipy.stats.kstest.  _kstwo_sf
-takes that p-value from scipy.stats.kstwo.sf(D, n), except in the one
+takes that p-value as scipy.stats.kstwo.sf(D, n), except in the one
 case where kstwo.sf sums about n terms in 2 scipy.special.smirnov(n, D)
 (n > 140, 1 < nD < n - 1, D < 1/2, 2.2 <= nD^2 < 370; 0.2-0.3 s at
 n = 200 000).  There it makes that same smirnov call itself, on an array
@@ -51,8 +51,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
-from .core import BetaParams, BlockStructure, as_int
+from .core import BetaParams, BlockStructure, _check_pair, as_int
 from .report import Check, Report
 
 # coarse stride of _ks_one_sample, and how far below the best value a
@@ -105,22 +106,16 @@ def as_generator(rng) -> np.random.Generator:
 
 def ball_density_const(k: int, beta: float) -> float:
     """c_{beta,k}, the normalizing constant of the weighted ball law."""
-    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
-    from scipy import special
-
     return math.exp(
-        special.gammaln(k / 2.0 + beta + 1.0)
-        - special.gammaln(beta + 1.0)
+        scipy.special.gammaln(k / 2.0 + beta + 1.0)
+        - scipy.special.gammaln(beta + 1.0)
         - (k / 2.0) * math.log(math.pi)
     )
 
 
 def ball_volume(k: int) -> float:
     """Volume of the Euclidean unit ball B_2^k."""
-    # imported here: scipy.special costs the CLI about 24 MiB and 0.27 s at start-up
-    from scipy import special
-
-    return math.pi ** (k / 2.0) / special.gamma(k / 2.0 + 1.0)
+    return math.pi ** (k / 2.0) / scipy.special.gamma(k / 2.0 + 1.0)
 
 
 def container_volume(bs: BlockStructure) -> float:
@@ -164,8 +159,7 @@ def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
 
 def block_draws(bs: BlockStructure, bp: BetaParams, rng, size: int) -> Iterator[np.ndarray]:
     """Yield each block's size draws, shape (size, d_i), in the stream's order."""
-    if bs.m != len(bp.betas):
-        raise ValueError(f"{bs.m} blocks but {len(bp.betas)} beta weights")
+    _check_pair(bs, bp)
     gen = as_generator(rng)
     for d, b in zip(bs.dims, bp.betas):
         yield sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=size)
@@ -180,18 +174,14 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
 def _kstwo_sf(d, n: int) -> np.float64:
     """scipy.stats.kstwo.sf(d, n) clipped to [0, 1], bit for bit; its
     2 smirnov(n, d) case runs without the GIL (see the module docstring)."""
-    # imported here: scipy.stats, with the scipy.special it loads, costs the
-    # CLI about 70 MiB and 1 s at start-up
-    from scipy import special, stats
-
     n = int(n)
     t = n * d
     # scipy's own tests, in its order and arithmetic (stats._ksstats._kolmogn)
     if n > 140 and 1.0 < t < n - 1 and d < 0.5 and 2.2 <= t * d < 370.0:
         padded = np.ones(KS_GIL_FREE_LEN)     # smirnov(n, 1) returns 0 at once
         padded[0] = d
-        return np.clip(2 * special.smirnov(n, padded)[0], 0.0, 1.0)
-    return np.clip(np.asarray(stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
+        return np.clip(2 * scipy.special.smirnov(n, padded)[0], 0.0, 1.0)
+    return np.clip(np.asarray(scipy.stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
 
 
 def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
@@ -236,9 +226,9 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
     the rounding of the bounds.  Its D and p are equal bit for bit to
     scipy.stats.kstest.  The projection checks use ks_2samp.
     """
-    # imported here: scipy.stats and scipy.special cost the CLI about 70 MiB and 1 s at start-up
-    from scipy import special, stats
-
+    # loaded before the first cloud is drawn, not at the first p-value:
+    # loading it with the clouds alive raises verify's peak RSS by about 6 MiB
+    scipy.stats
     rep = Report(title="sampler laws")
     gen = as_generator(rng)
     for k in (1, 2, 3, 4):
@@ -246,7 +236,7 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
             pts = sample_beta_ball(BetaBallLaw(k, beta), gen, size=n_samples)
             tsq = np.sum(np.square(pts, out=pts), axis=1)
             del pts
-            d, p = _ks_one_sample(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
+            d, p = _ks_one_sample(tsq, lambda t: scipy.special.betainc(k / 2.0, beta + 1.0, t))
             del tsq
             rep.add(Check(
                 name=f"radial_law[k={k},beta={beta}]",
@@ -262,7 +252,7 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
         lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
         r2 = row_norms(lifted[:, :k])
         del lifted
-        res = stats.ks_2samp(r1, r2)
+        res = scipy.stats.ks_2samp(r1, r2)
         del r1, r2
         rep.add(Check(
             name=f"projection[k={k},from={full}]",

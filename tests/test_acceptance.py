@@ -10,7 +10,7 @@ the fit and the local slopes, with their standard errors, from its own rows.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from blockbeta.asymptotics import (
     fit_rate,
     local_slopes,
 )
-from blockbeta.cli import ExperimentConfig, default_n_grid, replicate_rows, simulate
+from blockbeta.cli import ExperimentConfig, default_n_grid, replicate_rows, run_threads, simulate
 from blockbeta.core import BlockStructure, BetaParams, predict_rate
 from blockbeta.hull import (
     brute_force_facets,
@@ -126,9 +126,9 @@ def test_primary_04_reduction():
         )
 
     # each case draws from its own stream, and the pass count is a sum, so
-    # two threads (Monte Carlo beside quadrature) give the serial verdict
-    with ThreadPoolExecutor(2) as pool:
-        checks = [c for rep in pool.map(run, cases) for c in rep.checks]
+    # the pool's two threads (Monte Carlo beside quadrature) give the serial verdict
+    reports = run_threads([partial(run, case) for case in cases], range(len(cases)))
+    checks = [c for rep in reports for c in rep.checks]
     total = len(checks)
     passed = sum(c.passed for c in checks)
     frac = passed / total

@@ -374,6 +374,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.endswith("\n[]\n")
 
 
+def test_verify_sampler_loads_scipy_stats_before_its_first_cloud():
+    # loaded later, at the first p-value, it would load beside the live
+    # clouds and raise verify's peak RSS
+    script = (
+        "import sys, blockbeta.cli, blockbeta.sampler as sampler\n"
+        "draw, seen = sampler.sample_beta_ball, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    seen.append('scipy.stats' in sys.modules)\n"
+        "    return draw(*args, **kwargs)\n"
+        "sampler.sample_beta_ball = spy\n"
+        "blockbeta.cli.main(['verify', '--suite', 'sampler', '--samples', '200'])\n"
+        "print(seen[0])\n"
+    )
+    out = _fresh_python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("\nTrue\n")
+
+
 def test_verify_in_a_fresh_interpreter_equals_verify_in_process(capsys):
     # the fresh process loads scipy.integrate at its first quadrature call,
     # from verify's two threads at once; this one has it loaded already
@@ -554,6 +572,13 @@ NEGATIVE_BETA_CONFIG = {
 }
 
 
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
 @pytest.mark.parametrize("argv,config", [
     (["predict", "--dims", "2,0"], None),
     (["predict", "--dims", "2,1", "--betas", "0"], None),
@@ -585,11 +610,19 @@ NEGATIVE_BETA_CONFIG = {
     # json writes these weights as NaN and Infinity, and reads them back
     (["simulate"], json.dumps({"block_dims": [2], "betas": [math.nan], "n_grid": [10]})),
     (["simulate"], json.dumps({"block_dims": [2], "betas": [math.inf], "n_grid": [10]})),
+    # bytes that are not UTF-8
+    (["simulate"], b'{"block_dims": [2]\xff}'),
+    (["fit"], b'{"config": "\xff"}'),
+    (["fit"], ("raw.csv", b"n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,\xff,4,,0\n")),
+    (["simulate"], None),                       # a directory in place of the config file
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
         path = tmp_path / "config.json"
-        path.write_text(config)
+        if config is None:
+            path.mkdir()
+        else:
+            _write(path, config)
         argv = [*argv, "--config", str(path), "--out", str(tmp_path / "out")]
     elif argv[0] == "plot":
         argv = [*argv, "--out-script", str(tmp_path / "fig.gp")]
@@ -599,7 +632,7 @@ def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
         record_dir = tmp_path / "out" / "cli"
         if config is not None:
             name, text = config if isinstance(config, tuple) else ("record.json", config)
-            (record_dir / name).write_text(text)
+            _write(record_dir / name, text)
         argv = [*argv, "--record", str(record_dir)]
     capsys.readouterr()
     assert main(argv) == 2
@@ -627,9 +660,12 @@ def test_main_budget_exit(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_main_missing_record(capsys):
+def test_main_missing_record(tmp_path, capsys):
     assert main(["fit", "--record", "/no/such/dir"]) == 2
-    capsys.readouterr()
+    not_a_dir = tmp_path / "record"
+    not_a_dir.write_text("{}")
+    assert main(["fit", "--record", str(not_a_dir)]) == 2
+    assert "internal" not in capsys.readouterr().err
 
 
 def test_main_predict(capsys):

@@ -389,6 +389,15 @@ def test_shifted_betas():
     assert got == pytest.approx([1.5, 2.0])
 
 
+@pytest.mark.parametrize("betas", [(0,), (0, 0, 0)])
+def test_reduction_refuses_a_beta_count_unequal_to_the_blocks(betas):
+    bs, bp = BlockStructure((2, 1)), BetaParams(betas)
+    with pytest.raises(ValueError, match="2 blocks but"):
+        reduction_constant(bs, bp)
+    with pytest.raises(ValueError, match="2 blocks but"):
+        shifted_betas(bs, bp)
+
+
 def test_embed_direction():
     bs = BlockStructure((2, 1))
     w = embed_direction(bs, [0.6, 0.8], [np.array([1.0, 0.0]), np.array([-1.0])])
