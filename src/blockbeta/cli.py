@@ -280,6 +280,9 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
     want_volume = "volume_deficit" in config.observables
     # rows in (n, rep) order; row i_n * reps + rep draws from that stream index
     ns = [n for n in config.n_grid for _ in range(config.reps)]
+    # made before the first replication, so an unusable --out fails at once
+    record_dir = Path(out_dir) / config.name
+    record_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
     results = replicate_rows(bs, config.beta_params(), ns, config.root_seed,
@@ -290,8 +293,6 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
         [n, i % config.reps, *fv, math.nan if deficit is None else deficit, stream]
         for i, (n, (fv, deficit, stream)) in enumerate(zip(ns, results))
     ], dtype=float)
-    record_dir = Path(out_dir) / config.name
-    record_dir.mkdir(parents=True, exist_ok=True)
 
     lines = [",".join(_header(config))]
     # integer cells print as integers under %.17g; an absent deficit stays empty
@@ -319,7 +320,7 @@ def simulate(config: ExperimentConfig, out_dir, workers: int = WORKERS,
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
-    except (UnicodeDecodeError, IsADirectoryError, NotADirectoryError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -522,19 +523,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     out_script = Path(args.out_script)
-    out_script.parent.mkdir(parents=True, exist_ok=True)
-    curves = []
+    plots, dats = [], {}
     for record_dir in args.record:
         config, raw = load_record(record_dir)
         ns, mean, se = _observable_rows(config, raw, "f_0").T
         exponent, log_power = _predicted_law(config, "f_0")
         dat = out_script.with_name(out_script.stem + f"_{config.name}.dat")
-        rows = "\n".join(
-            f"{int(n)} {_fmt(m)} {_fmt(s)}" for n, m, s in zip(ns, mean, se)
-        )
-        dat.write_text(rows + "\n")
+        dats[dat] = "".join(f"{int(n)} {_fmt(m)} {_fmt(s)}\n" for n, m, s in zip(ns, mean, se))
         anchor = mean[-1] / (ns[-1] ** exponent * math.log(ns[-1]) ** log_power)
-        curves.append((config.name, dat.name, exponent, log_power, anchor))
+        plots.append(f"'{dat.name}' using 1:2:3 with yerrorlines title '{config.name}'")
+        plots.append(
+            f"{anchor:.8g}*x**{exponent:.8g}*log(x)**{log_power} "
+            f"with lines dashtype 2 title '{config.name} guide'"
+        )
 
     lines = [
         "set logscale xy",
@@ -543,16 +544,14 @@ def _cmd_plot(args) -> int:
         "set key left top",
         "set term pngcairo size 900,650",
         f"set output '{out_script.stem}.png'",
+        "plot \\\n  " + ", \\\n  ".join(plots),
     ]
-    plots = []
-    for name, dat, exponent, log_power, anchor in curves:
-        plots.append(f"'{dat}' using 1:2:3 with yerrorlines title '{name}'")
-        plots.append(
-            f"{anchor:.8g}*x**{exponent:.8g}*log(x)**{log_power} "
-            f"with lines dashtype 2 title '{name} guide'"
-        )
-    lines.append("plot \\\n  " + ", \\\n  ".join(plots))
+    # every record is read before any directory or file is written, and the
+    # script before its data files, so an unusable --out-script leaves nothing
+    out_script.parent.mkdir(parents=True, exist_ok=True)
     out_script.write_text("\n".join(lines) + "\n")
+    for dat, text in dats.items():
+        dat.write_text(text)
     print(f"gnuplot script written to {out_script}")
     return 0
 
@@ -612,7 +611,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BudgetExceeded, InsufficientSpan, FileNotFoundError) as exc:
+    # an OSError here comes from a path the user named: missing, a directory, ...
+    except (ConfigError, BudgetExceeded, InsufficientSpan, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:           # a crash, not a verdict: keep it off 1

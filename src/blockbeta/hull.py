@@ -15,14 +15,13 @@ f_0**k does not fit in 63 bits the k-subsets are sorted as rows with
 np.lexsort and compared row by row instead.
 
 Dedup rounds the cloud to DEDUP_DECIMALS one column at a time and
-mixes the column bits into one uint64 hash key per point, then
-stable-sorts the keys.  Distinct keys (the rule for continuous draws,
-bar a 64-bit collision) mean distinct points, so nothing is merged and
-the caller's array goes to qhull as it is, with no copy.  Equal keys are checked against
-the rounded rows; only if some run of equal keys holds different rows
-does dedup fall back to sorting the rounded rows as opaque byte strings
-(a void view).  Either way the representative of each group of equal
-rounded points is its first occurrence.
+mixes the column bits into one uint64 hash key per point, then sorts
+the keys in place.  It has two outcomes.  Distinct keys (the rule for
+continuous draws) mean distinct points, so nothing is merged and the
+caller's array goes to qhull as it is, with no copy.  Any repeated key,
+a true duplicate or a 64-bit collision, sends the cloud to the exact
+path, which sorts the rounded rows as opaque byte strings (a void view)
+and keeps the first occurrence of each group of equal rounded points.
 
 brute_force_facets is an independent oracle: it enumerates all d-point
 subsets and keeps those whose hyperplane has every remaining point
@@ -87,15 +86,10 @@ def _row_keys(pts: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _rounded(pts: np.ndarray) -> np.ndarray:
-    """Bits of the rows rounded to the dedup grid, -0.0 made +0.0."""
-    return (np.round(pts, DEDUP_DECIMALS) + 0.0).view(np.uint64)
-
-
 def _dedup_exact(pts: np.ndarray) -> np.ndarray:
     """Indices of representatives, sorting the rounded rows as byte strings."""
-    # with no -0.0 and no NaN, equal bytes are equal floats
-    keys = np.ascontiguousarray(_rounded(pts))
+    # -0.0 made +0.0: with no -0.0 and no NaN, equal bytes are equal floats
+    keys = np.ascontiguousarray(np.round(pts, DEDUP_DECIMALS) + 0.0).view(np.uint64)
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first = np.unique(rows, return_index=True)
     return np.sort(first)
@@ -104,21 +98,15 @@ def _dedup_exact(pts: np.ndarray) -> np.ndarray:
 def _dedup(pts: np.ndarray) -> np.ndarray:
     """Indices of representatives after merging near-duplicates.
 
-    Rows are sorted by their hash key (stable, so each run of equal
-    keys starts at its smallest index).  When every run holds equal
-    rounded rows, its first index is the representative; when a run
-    mixes different rows, _dedup_exact decides.
+    Distinct hash keys mean distinct rounded rows, so every row is its
+    own representative.  Any repeated key, whether from equal rows or a
+    collision, leaves the decision to _dedup_exact.
     """
     keys = _row_keys(pts)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    tied = keys[1:] == keys[:-1]
-    del keys
-    if not tied.any():
+    keys.sort()
+    if not np.any(keys[1:] == keys[:-1]):
         return np.arange(len(pts))
-    if not np.array_equal(_rounded(pts[order[:-1][tied]]), _rounded(pts[order[1:][tied]])):
-        return _dedup_exact(pts)
-    return np.sort(np.concatenate((order[:1], order[1:][~tied])))
+    return _dedup_exact(pts)
 
 
 def convex_hull(points) -> HullResult:
@@ -284,14 +272,11 @@ def ridges_regular(hull: HullResult) -> bool:
 
     The (d-1)-subsets of the facet rows are packed and sorted as in
     f_vector (lexsort where f_0**(d-1) >= 2**63); every run of equal
-    keys must have length exactly 2.
+    keys must have length exactly 2.  For d = 1 the one ridge is the
+    empty face, shared by the two endpoint facets.
     """
-    d = hull.dim
-    fv = hull.facet_vertices
-    if d == 1:
-        return len(fv) == 2
-    ids, f0 = _compress(fv)
-    return bool(np.all(_subset_multiplicities(ids, f0, d - 1) == 2))
+    ids, f0 = _compress(hull.facet_vertices)
+    return bool(np.all(_subset_multiplicities(ids, f0, hull.dim - 1) == 2))
 
 
 def lower_face_coefficient(d: int, j: int) -> float:

@@ -51,11 +51,13 @@ def test_aw_m2_against_direct_quadrature():
 
 def test_aw_m3_against_direct_quadrature():
     n = 50
-    want, _ = integrate.tplquad(
-        lambda z, y, x: (1 - x * y * z) ** n * x ** 3 * y ** 2 * z ** 2,
-        0, 1, 0, 1, 0, 1, epsabs=1e-13, epsrel=1e-11,
-    )
-    assert aw_integral_numeric((3.0, 2.0, 2.0), n) == pytest.approx(want, rel=1e-8, abs=0)
+    # a bottom tie, and a top tie over a smaller a_3
+    for a1, a2, a3 in ((3.0, 2.0, 2.0), (2.0, 2.0, 1.0)):
+        want, _ = integrate.tplquad(
+            lambda z, y, x: (1 - x * y * z) ** n * x ** a1 * y ** a2 * z ** a3,
+            0, 1, 0, 1, 0, 1, epsabs=1e-13, epsrel=1e-11,
+        )
+        assert aw_integral_numeric((a1, a2, a3), n) == pytest.approx(want, rel=1e-8, abs=0)
 
 
 def test_aw_asymptotic_formulas():

@@ -615,6 +615,7 @@ def _write(path, content):
     (["fit"], b'{"config": "\xff"}'),
     (["fit"], ("raw.csv", b"n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,\xff,4,,0\n")),
     (["simulate"], None),                       # a directory in place of the config file
+    (["fit"], ("raw.csv", "n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,4,4,0\n")),  # a cell short
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
@@ -666,6 +667,68 @@ def test_main_missing_record(tmp_path, capsys):
     not_a_dir.write_text("{}")
     assert main(["fit", "--record", str(not_a_dir)]) == 2
     assert "internal" not in capsys.readouterr().err
+
+
+def test_main_unusable_output_path_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, n_grid=[10, 20], reps=1)
+    record_dir = tmp_path / "out" / "cli"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("replicated before the output path was checked")
+
+    monkeypatch.setattr(cli, "replicate_rows", never)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    new = tmp_path / "new"
+    for argv in (
+        ["simulate", "--config", str(cfg), "--out", str(a_file)],
+        ["plot", "--record", str(record_dir), "--out-script", str(tmp_path)],
+        ["plot", "--record", str(tmp_path / "nosuch"), "--out-script", str(new / "sub" / "p.gp")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal" not in err
+    assert not new.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json", "out"]
+
+
+def test_main_simulate_exits_3_when_every_retry_is_degenerate(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def flat(bs, bp, rng, size):
+        calls.append(rng.stream_index)
+        return np.zeros((size, bs.dim))
+
+    monkeypatch.setattr(cli, "sample_block_beta", flat)
+    cfg = write_config(tmp_path, n_grid=[10], reps=1)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert calls == [k * RETRY_STRIDE for k in range(cli.MAX_RETRIES + 1)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal: RuntimeError: replication (n=10, stream 0) "
+                            f"failed after {cli.MAX_RETRIES + 1} attempts\n")
+
+
+def test_main_fit_volume_deficit(tmp_path, capsys):
+    grid = [10, 32, 100, 320, 1000]
+    cfg = write_config(tmp_path, block_dims=[2, 1], n_grid=grid,
+                       observables=["f_vector", "volume_deficit"])
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    record_dir = str(tmp_path / "out" / "cli")
+    assert main(["fit", "--record", record_dir, "--observable", "volume_deficit"]) == 0
+    assert "predicted: exponent=-0.666667 log_power=0" in capsys.readouterr().out
+
+    cfg = write_config(tmp_path, block_dims=[2, 1], betas=["1/2", 0], n_grid=grid,
+                       observables=["f_vector", "volume_deficit"])
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--record", record_dir, "--observable", "volume_deficit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: volume deficit rate is only predicted for beta = 0\n"
 
 
 def test_main_predict(capsys):

@@ -285,6 +285,18 @@ def test_dedup_keeps_first_occurrences(d, n, seed, kind):
             convex_hull(pts)
 
 
+@pytest.mark.parametrize("points", [
+    np.zeros(5),                                   # not (n, d)
+    np.zeros((5, 0)),                              # no coordinate
+    np.vstack([np.eye(3), [[math.nan, 0.0, 0.0]]]),
+    np.vstack([np.eye(3), [[0.0, math.inf, 0.0]]]),
+], ids=["1-d", "no-columns", "nan", "inf"])
+def test_convex_hull_rejects_malformed_clouds(points):
+    with pytest.raises(ValueError) as exc:
+        convex_hull(points)
+    assert not isinstance(exc.value, DegenerateInput)
+
+
 def test_dedup_merges_signed_zeros_and_sub_grid_offsets():
     pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1e-13, 1.0], [0.0, 1.0 + 4e-13], [1.0, 0.0]])
     assert _dedup(pts).tolist() == reference_first_occurrences(pts) == [0, 4]
