@@ -6,6 +6,9 @@ This module owns everything around it: near-duplicate removal with an
 index map back to the caller's cloud, degeneracy detection, the face
 counts f_0..f_{d-1} recovered from the simplicial facet list, volume by
 coning simplices from an interior point, and membership tests.
+Degeneracy is the affine rank falling below d: a certificate from at
+most 2d + 1 rows (_certified_full_rank) settles full rank for most
+clouds, and the whole-cloud SVD decides the rest.
 
 Faces are counted on 1-D integer keys.  The facet vertex ids are
 first renumbered to [0, f_0); each k-subset of a facet row is then
@@ -46,6 +49,10 @@ from .report import Check, Report
 from .sampler import as_generator
 
 DEDUP_DECIMALS = 12          # points equal after rounding here are merged
+RANK_TOL = 1e-9              # singular values at or below this do not count
+# a rank certificate's smallest singular value must exceed both
+RANK_CERT_TOL = 1e3 * RANK_TOL
+RANK_CERT_REL = 1e-6         # times its largest singular value
 CONTAINS_TOL = 1e-9
 BRUTE_FORCE_MAX_POINTS = 25
 # row-key mixing: an odd multiplier (2**64 / golden ratio) and a shift
@@ -109,6 +116,24 @@ def _dedup(pts: np.ndarray) -> np.ndarray:
     return _dedup_exact(pts)
 
 
+def _certified_full_rank(core: np.ndarray) -> bool:
+    """True only where matrix_rank(core - core[0], tol=RANK_TOL) is d.
+
+    Row 0 and the argmin and argmax rows of each coordinate form a
+    subset B of at most 2d + 1 rows.  Its singular values are at most
+    the whole cloud's (A^T A - B^T B is positive semidefinite), so if
+    B - core[0] has rank d, with its smallest singular value above
+    RANK_CERT_TOL and far above its rounding, the cloud has rank d too.
+    False leaves the decision to the whole-cloud SVD.
+    """
+    d = core.shape[1]
+    rows = [0]
+    for j in range(d):                 # argmin(axis=0) would copy the cloud
+        rows += [int(np.argmin(core[:, j])), int(np.argmax(core[:, j]))]
+    sv = np.linalg.svd(core[np.unique(rows)] - core[0], compute_uv=False)
+    return len(sv) == d and sv[-1] > max(RANK_CERT_TOL, RANK_CERT_REL * sv[0])
+
+
 def convex_hull(points) -> HullResult:
     """Convex hull of a full-dimensional point cloud.
 
@@ -132,9 +157,10 @@ def convex_hull(points) -> HullResult:
         raise DegenerateInput(
             f"{len(core)} distinct points cannot span dimension {d}"
         )
-    rank = np.linalg.matrix_rank(core - core[0], tol=1e-9)
-    if rank < d:
-        raise DegenerateInput(f"cloud has affine rank {rank} < {d}")
+    if not _certified_full_rank(core):
+        rank = np.linalg.matrix_rank(core - core[0], tol=RANK_TOL)
+        if rank < d:
+            raise DegenerateInput(f"cloud has affine rank {rank} < {d}")
 
     if d == 1:                         # qhull starts at the plane
         lo = keep[int(np.argmin(core[:, 0]))]
@@ -196,9 +222,11 @@ def _subset_multiplicities(ids: np.ndarray, base: int, size: int) -> np.ndarray:
     cols = list(combinations(range(ids.shape[1]), size))
     if base ** size < 2 ** 63:
         keys = np.zeros((len(ids), len(cols)), dtype=np.int64)
-        for j in range(size):
-            keys = keys * base + ids[:, [c[j] for c in cols]]
-        keys = np.sort(keys, axis=None)
+        for j in range(size):          # in place: keys and one column gather
+            keys *= base
+            keys += ids[:, [c[j] for c in cols]]
+        keys = keys.ravel()
+        keys.sort()
         new = keys[1:] != keys[:-1]
     else:                              # packed keys would overflow int64
         rows = ids[:, cols].reshape(-1, size)

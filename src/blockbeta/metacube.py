@@ -46,7 +46,15 @@ import scipy
 
 from .core import BetaParams, BlockStructure, _check_pair
 from .report import Check, Report
-from .sampler import RngStream, as_generator, ball_density_const, block_draws, row_norms
+from .sampler import (
+    CHUNK_ROWS,
+    BetaBallLaw,
+    RngStream,
+    as_generator,
+    ball_density_const,
+    beta_ball_chunks,
+    row_norms,
+)
 
 ZERO_COMPONENT_TOL = 1e-14
 QUAD_ABS_TOL = 1e-10
@@ -334,10 +342,14 @@ def cap_content_full_mc(
     """Monte Carlo mass of {x . w >= s} under the block-beta law: the
     fraction of n_samples draws that land in the halfspace.
 
-    The draws are sample_block_beta's, block by block: each block's
-    columns are folded into the projection in column order and the block
-    is dropped before the next one is drawn, so the (n_samples, dim)
-    cloud is never held.
+    The draws are sample_block_beta's, taken chunk by chunk from
+    beta_ball_chunks.  Each chunk's columns are folded into its rows of
+    the projection in column order (the first multiplied in, the rest
+    added through one chunk-long buffer), and the chunk is dropped before
+    the next one is drawn.  So the call holds the (n_samples,)
+    projection, one block's (n_samples, d_i) array and a few chunk-long
+    arrays: a peak of about (1 + max d_i) n_samples doubles, with no
+    (n_samples, dim) cloud.
     """
     if (isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral)
             or n_samples < 1):
@@ -346,16 +358,24 @@ def cap_content_full_mc(
     w = np.asarray(w, dtype=float)
     if w.shape != (bs.dim,):
         raise ValueError(f"expected a direction of shape ({bs.dim},), got {w.shape}")
+    _check_pair(bs, bp)
+    n = int(n_samples)
+    proj = np.empty(n)
+    term = np.empty(min(n, CHUNK_ROWS))
     # no BLAS: a threaded matmul leaves OpenBLAS's worker spinning on the cores verify's pool uses
-    proj, j = None, 0
-    for block in block_draws(bs, bp, gen, int(n_samples)):
-        for col in range(block.shape[1]):
-            if proj is None:
-                proj = block[:, col] * w[j]
-            else:
-                proj += block[:, col] * w[j]
-            j += 1
-        del block  # else it lives on while the next block is drawn
+    j = 0
+    for d, b in zip(bs.dims, bp.betas):
+        lo = 0
+        for chunk in beta_ball_chunks(BetaBallLaw(d, float(b)), gen, n):
+            part, buf = proj[lo:lo + len(chunk)], term[:len(chunk)]
+            for col in range(d):
+                if j + col == 0:
+                    np.multiply(chunk[:, col], w[0], out=part)
+                else:
+                    part += np.multiply(chunk[:, col], w[j + col], out=buf)
+            lo += len(chunk)
+        del chunk  # else it pins this block while the next one is drawn
+        j += d
     return float((proj >= s).mean())
 
 
@@ -411,7 +431,9 @@ def verify_reduction(
 
     Draws (v, s) with s strictly between s1(v) and ||v||_1, redrawing s
     when the target mass would be too small for a sound binomial z-test
-    (fewer than ~100 expected hits).
+    (fewer than ~100 expected hits).  A trial whose 64 candidates are all
+    refused is a failed check with NaN values, and draws no Monte Carlo
+    sample.
     """
     gen = as_generator(rng)
     const = reduction_constant(bs, bp)
@@ -422,7 +444,6 @@ def verify_reduction(
     )
     min_hits = 100.0
     for t in range(trials):
-        p_ref, v, s = 0.0, None, 0.0
         for _ in range(64):
             v = np.abs(_unit_vector(gen, bs.m))
             if bs.m > 1 and v.min() < 0.1:
@@ -433,6 +454,13 @@ def verify_reduction(
             p_ref = const * cap_content_meta(MetaCap(v, s), metas)
             if min_hits / n_samples <= p_ref <= 0.9:
                 break
+        else:
+            rep.add(Check(
+                name=f"halfspace_mass[{t}] no admissible cap in 64 candidates",
+                value=math.nan, reference=math.nan,
+                stat_name="z", stat=math.nan, passed=False,
+            ))
+            continue
         units = [_unit_vector(gen, d) for d in bs.dims]
         w = embed_direction(bs, v, units)
         p_hat = cap_content_full_mc(bs, bp, w, s, n_samples, gen)

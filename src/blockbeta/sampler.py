@@ -8,15 +8,20 @@ c_{beta,k} (1 - ||y||^2)^beta, where
 Its squared radius is Beta(k/2, beta + 1) distributed and independent
 of the (uniform) direction, so sampling needs one beta variate and one
 normalized Gaussian per point.  No rejection, valid for every beta > -1.
-Block products draw each factor independently and concatenate.
+Block products draw each factor independently, side by side.
 
 Reproducibility contract: a stream is identified by (root_seed,
 stream_index); equal identifiers give bit-identical draws.  Within one
-generator the draw order is fixed (block by block, directions first,
-then radii), so vectorized and repeated calls stay deterministic.
-block_draws is the one definition of that order: sample_block_beta
-concatenates its blocks, and cap_content_full_mc folds each block into
-its projection and drops it before the next one is drawn.
+generator the draw order is fixed: block by block, all of a block's
+Gaussian directions in one call, then its radii, so vectorized and
+repeated calls stay deterministic.  beta_ball_chunks is the one
+definition of that order.  It yields a block in chunks of CHUNK_ROWS
+rows, normalizing each chunk and drawing its radii as it goes; numpy
+gives the same bits for a count drawn in one call or in consecutive
+chunks, so the chunk length changes no bit and leaves the generator
+where one whole draw would.  sample_beta_ball is its one-chunk case,
+sample_block_beta copies each block's chunks into its columns of the
+cloud, and cap_content_full_mc folds each chunk into its projection.
 RngStream(s, 0) draws the same bits as np.random.default_rng(s), so a
 generator seeded directly with s would share stream 0 with whoever
 holds it: seed only through RngStream.
@@ -64,6 +69,8 @@ KS_SLACK = 1e-12
 KS_GIL_FREE_LEN = 501
 # from this many columns on, numpy's add.reduce sums a row pairwise
 ROW_NORM_PAIRWISE = 8
+# rows per chunk of the draw stream: 512 KiB per column
+CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,29 +153,56 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
-    """Draw size points from the beta-weighted ball law; shape (size, dim)."""
+def beta_ball_chunks(law: BetaBallLaw, rng, size: int,
+                     rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
+    """Yield size draws from the beta-weighted ball law in row chunks of
+    at most rows, in the stream's order (see the module docstring).
+
+    Each chunk is a view into one (size, dim) array: the caller must drop
+    it before drawing on, or it pins that whole array.  size 0 yields one
+    empty chunk.
+    """
     gen = as_generator(rng)
     n = int(size)
-    dirs = gen.standard_normal((n, law.dim))
-    dirs /= row_norms(dirs)[:, None]
-    radii = np.sqrt(gen.beta(law.dim / 2.0, float(law.beta) + 1.0, size=n))
-    dirs *= radii[:, None]
-    return dirs
+    pts = gen.standard_normal((n, law.dim))
+    a, b = law.dim / 2.0, float(law.beta) + 1.0
+    for lo in range(0, max(n, 1), rows):
+        chunk = pts[lo:lo + rows]
+        chunk /= row_norms(chunk)[:, None]
+        radii = gen.beta(a, b, size=len(chunk))
+        chunk *= np.sqrt(radii, out=radii)[:, None]
+        del radii      # not held while the next chunk is normalized
+        yield chunk
 
 
-def block_draws(bs: BlockStructure, bp: BetaParams, rng, size: int) -> Iterator[np.ndarray]:
-    """Yield each block's size draws, shape (size, d_i), in the stream's order."""
-    _check_pair(bs, bp)
-    gen = as_generator(rng)
-    for d, b in zip(bs.dims, bp.betas):
-        yield sample_beta_ball(BetaBallLaw(d, float(b)), gen, size=size)
+def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
+    """Draw size points from the beta-weighted ball law; shape (size, dim)."""
+    (pts,) = beta_ball_chunks(law, rng, size, rows=max(int(size), 1))
+    return pts
 
 
 def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.ndarray:
-    """Draw size block-beta points in the ball product; blocks independent."""
-    parts = list(block_draws(bs, bp, rng, size))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    """Draw size block-beta points in the ball product; blocks independent.
+
+    Each block's chunks are copied into one (size, dim) array as they are
+    drawn, so the peak is the cloud plus the largest block.
+    """
+    _check_pair(bs, bp)
+    gen = as_generator(rng)
+    laws = [BetaBallLaw(d, float(b)) for d, b in zip(bs.dims, bp.betas)]
+    if len(laws) == 1:
+        return sample_beta_ball(laws[0], gen, size)
+    n = int(size)
+    cloud = np.empty((n, bs.dim))
+    col = 0
+    for law in laws:
+        lo = 0
+        for chunk in beta_ball_chunks(law, gen, n):
+            cloud[lo:lo + len(chunk), col:col + law.dim] = chunk
+            lo += len(chunk)
+        del chunk      # else it pins this block while the next one is drawn
+        col += law.dim
+    return cloud
 
 
 def _kstwo_sf(d, n: int) -> np.float64:

@@ -12,9 +12,13 @@ from hypothesis import given, settings, strategies as st
 import blockbeta.hull as hull_module
 from blockbeta.hull import (
     CONTAINS_TOL,
+    RANK_TOL,
     DegenerateInput,
     HullResult,
+    _certified_full_rank,
+    _compress,
     _dedup,
+    _subset_multiplicities,
     brute_force_facets,
     contains_points,
     convex_hull,
@@ -132,6 +136,53 @@ def test_degenerate_inputs():
         convex_hull(flat3)
 
 
+def whole_cloud_rank(pts):
+    return np.linalg.matrix_rank(pts - pts[0], tol=RANK_TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    data=st.data(),
+    n=st.integers(2, 80),
+    offset=st.sampled_from([0.0]) | st.floats(1e-12, 1e-6),
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rank_certificate_never_overrules_the_whole_cloud_svd(d, data, n, offset, scale, seed):
+    # flat clouds of every lower rank, lifted off their flat by at most
+    # offset, and clouds of a few points repeated
+    gen = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="duplicated"):
+        distinct = gen.standard_normal((data.draw(st.integers(1, d + 2)), d))
+        pts = distinct[gen.integers(0, len(distinct), size=n)]
+    else:
+        flat = data.draw(st.integers(0, d - 1), label="flat rank")
+        pts = gen.standard_normal((n, flat)) @ gen.standard_normal((flat, d))
+    pts = scale * (pts + gen.standard_normal(d))
+    pts += offset * scale * gen.uniform(-1.0, 1.0, size=pts.shape)
+    if _certified_full_rank(pts):
+        assert whole_cloud_rank(pts) == d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_rank_certificate_holds_for_random_clouds(d):
+    # its rows are the coordinate extremes, so it can miss a small cloud
+    # whose points are interior in every coordinate, but not these
+    for n in (20 * d, 10_000):
+        pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, d))
+        assert _certified_full_rank(pts) and whole_cloud_rank(pts) == d
+
+
+def test_exactly_flat_clouds_stay_degenerate():
+    gen = np.random.default_rng(3)
+    for d in (2, 3, 4):
+        pts = gen.standard_normal((200, d - 1)) @ gen.standard_normal((d - 1, d))
+        assert not _certified_full_rank(pts)
+        with pytest.raises(DegenerateInput, match=f"affine rank {d - 1} < {d}"):
+            convex_hull(pts)
+
+
 def test_duplicates_merge_to_original_indices():
     pts = np.array([
         [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
@@ -198,6 +249,27 @@ def test_f_vector_and_ridges_match_plain_python_count(d, extra, seed):
     rows = hull.facet_vertices.tolist()
     assert f_vector(hull) == reference_f_vector(rows, d)
     assert ridges_regular(hull) is reference_ridges_regular(rows, d) is True
+
+
+def packed_key_multiplicities(ids, base, size):
+    """The packed-key subset count, building a fresh array at each step."""
+    cols = list(combinations(range(ids.shape[1]), size))
+    keys = np.zeros((len(ids), len(cols)), dtype=np.int64)
+    for j in range(size):
+        keys = keys * base + ids[:, [c[j] for c in cols]]
+    keys = np.sort(keys, axis=None)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return np.diff(starts, append=len(keys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 200), st.integers(0, 2 ** 32 - 1))
+def test_subset_multiplicities_equal_the_fresh_array_count(d, extra, seed):
+    pts = np.random.default_rng(seed).standard_normal((d + 1 + extra, d))
+    ids, f0 = _compress(convex_hull(pts).facet_vertices)
+    for size in range(d):
+        got = _subset_multiplicities(ids, f0, size)
+        assert got.tolist() == packed_key_multiplicities(ids, f0, size).tolist()
 
 
 def synthetic_hull(facet_rows, d):

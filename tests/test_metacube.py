@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 from scipy.special.cython_special import betainc
 
+import blockbeta.metacube as metacube
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.metacube import (
     MetaCap,
@@ -29,7 +30,7 @@ from blockbeta.metacube import (
     verify_polyspherical,
     verify_reduction,
 )
-from blockbeta.sampler import RngStream, ball_density_const, sample_block_beta
+from blockbeta.sampler import CHUNK_ROWS, RngStream, ball_density_const, sample_block_beta
 
 
 def simpson_adaptive(f, a, b, tol=1e-12, depth=50):
@@ -419,17 +420,25 @@ def test_halfspace_mass_single_block_matches_marginal():
     assert abs(p_hat - p_ref) < 4 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
-@pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (3, 2), (4,), (1, 1, 1, 1, 1, 1)])
-def test_halfspace_hits_equal_the_matmul_reference(dims):
+def assert_hits_equal_the_matmul_reference(dims, n):
     bs = BlockStructure(dims)
     bp = BetaParams(tuple(0.5 * i for i in range(bs.m)))
     w = np.random.default_rng(len(dims)).standard_normal(bs.dim)
     w /= np.linalg.norm(w)
-    n = 50_000
     pts = sample_block_beta(bs, bp, RngStream(11, 0), size=n)
     for s in (-0.6, 0.0, 0.25, 0.7):
         p_hat = cap_content_full_mc(bs, bp, w, s, n, RngStream(11, 0))
         assert p_hat == float((pts @ w >= s).mean())
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (3, 2), (4,), (1, 1, 1, 1, 1, 1)])
+def test_halfspace_hits_equal_the_matmul_reference(dims):
+    assert_hits_equal_the_matmul_reference(dims, 50_000)
+
+
+def test_halfspace_hits_equal_the_matmul_reference_across_chunks():
+    # three chunks per block, the last one short
+    assert_hits_equal_the_matmul_reference((2, 1), 2 * CHUNK_ROWS + 7)
 
 
 def test_halfspace_mass_rejects_a_direction_of_the_wrong_length():
@@ -448,8 +457,10 @@ def test_halfspace_mass_rejects_a_sample_count_that_is_not_a_positive_integer(n_
 
 
 def test_halfspace_mass_never_holds_the_whole_cloud():
-    # six one-dimensional blocks: the (n, 6) cloud would be 6 n doubles,
-    # and concatenating the blocks into it would hold two such copies
+    # six one-dimensional blocks: the (n, 6) cloud would be 6 n doubles.
+    # The fold holds the projection, one block and a few chunk-long
+    # arrays; holding a whole block's directions and radii at once would
+    # read 4 n
     bs = BlockStructure((1,) * 6)
     n = 200_000
     tracemalloc.start()
@@ -460,7 +471,7 @@ def test_halfspace_mass_never_holds_the_whole_cloud():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * 6 * np.dtype(float).itemsize
+    assert peak < ((1 + 1) * n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize
 
 
 def test_verify_reduction_smoke():
@@ -469,6 +480,22 @@ def test_verify_reduction_smoke():
         trials=4, n_samples=100_000, rng=RngStream(17, 0),
     )
     assert rep.passed, "\n" + str(rep)
+
+
+def test_verify_reduction_fails_a_trial_with_no_admissible_cap(monkeypatch):
+    # every candidate cap is refused: the trial must fail as such, not
+    # z-test a Monte Carlo draw against a stale or out-of-range reference
+    drawn = []
+    monkeypatch.setattr(metacube, "cap_content_meta", lambda cap, betas: 0.0)
+    monkeypatch.setattr(metacube, "cap_content_full_mc",
+                        lambda *args, **kwargs: drawn.append(args) or 0.0)
+    rep = verify_reduction(BlockStructure((2, 1)), BetaParams.uniform(2),
+                           trials=3, n_samples=1000, rng=RngStream(17, 0))
+    assert not drawn and not rep.passed
+    assert [c.name for c in rep.checks] == [
+        f"halfspace_mass[{t}] no admissible cap in 64 candidates" for t in range(3)]
+    assert all(math.isnan(c.value) and math.isnan(c.reference) and not c.passed
+               for c in rep.checks)
 
 
 # --- the referee suites (small budgets) --------------------------------

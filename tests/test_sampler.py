@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from scipy import integrate, special, stats
 
 from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.sampler import (
+    CHUNK_ROWS,
     KS_BLOCK,
+    ROW_NORM_PAIRWISE,
     BetaBallLaw,
     RngStream,
     as_generator,
     ball_density_const,
     ball_volume,
+    beta_ball_chunks,
     container_volume,
     row_norms,
     sample_beta_ball,
@@ -113,6 +117,61 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(k, n):
     wide = gen.standard_normal((n, k + 3)) * np.geomspace(0.01, 100.0, k + 3)
     for x in (np.ascontiguousarray(wide[:, :k]), wide[:, :k], wide[:, 3:], wide[::2, 1:k + 1]):
         assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+def whole_draw(law, gen, n):
+    """One ball's draws as sample_beta_ball made them in a single pass."""
+    dirs = gen.standard_normal((n, law.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.sqrt(gen.beta(law.dim / 2.0, float(law.beta) + 1.0, size=n))
+    dirs *= radii[:, None]
+    return dirs
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    k=st.integers(1, ROW_NORM_PAIRWISE + 1),
+    beta=st.floats(-1.0, 3.0, exclude_min=True),
+    n=st.integers(0, 1500),
+    rows=st.integers(1, 1600),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_chunked_draws_equal_the_whole_draw_bit_for_bit(k, beta, n, rows, seed):
+    law = BetaBallLaw(k, beta)
+    whole, chunked = RngStream(seed, k).generator(), RngStream(seed, k).generator()
+    want = whole_draw(law, whole, n)
+    chunks = [c.copy() for c in beta_ball_chunks(law, chunked, n, rows=rows)]
+    assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+    assert chunked.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("dims,n", [
+    ((2, 1), 1000), ((1, 1, 1), 2 * CHUNK_ROWS + 3), ((3, 2), 0), ((4,), 50), ((9, 1), 700)])
+def test_sample_block_beta_equals_concatenated_whole_block_draws(dims, n):
+    bs = BlockStructure(dims)
+    bp = BetaParams(tuple(0.5 * i - 0.5 for i in range(bs.m)))
+    ref, gen = RngStream(31, n).generator(), RngStream(31, n).generator()
+    want = np.concatenate(
+        [whole_draw(BetaBallLaw(d, b), ref, n) for d, b in zip(bs.dims, bp.betas)], axis=1)
+    got = sample_block_beta(bs, bp, gen, size=n)
+    assert got.shape == (n, bs.dim) and got.tobytes() == want.tobytes()
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_block_beta_holds_the_cloud_and_one_block():
+    # (2,1,1): the 4n-double cloud, the 2n-double first block and a few
+    # chunk-long arrays; concatenating the blocks would hold 8n
+    bs = BlockStructure((2, 1, 1))
+    n = 200_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample_block_beta(bs, BetaParams.uniform(3), RngStream(5, 0), size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ((4 + 2) * n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize
 
 
 def _first_true(pred, lo: float, hi: float) -> tuple[float, float]:
