@@ -347,9 +347,10 @@ def cap_content_full_mc(
     the projection in column order (the first multiplied in, the rest
     added through one chunk-long buffer), and the chunk is dropped before
     the next one is drawn.  So the call holds the (n_samples,)
-    projection, one block's (n_samples, d_i) array and a few chunk-long
-    arrays: a peak of about (1 + max d_i) n_samples doubles, with no
-    (n_samples, dim) cloud.
+    projection, one block's (n_samples, d_i) array (n_samples sign bytes
+    for d_i = 1) and a few chunk-long arrays: a peak of about
+    (1 + max d_i) n_samples doubles, or 1.125 n_samples when every
+    block is one-dimensional, with no (n_samples, dim) cloud.
     """
     if (isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral)
             or n_samples < 1):

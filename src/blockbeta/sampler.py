@@ -13,15 +13,21 @@ Block products draw each factor independently, side by side.
 Reproducibility contract: a stream is identified by (root_seed,
 stream_index); equal identifiers give bit-identical draws.  Within one
 generator the draw order is fixed: block by block, all of a block's
-Gaussian directions in one call, then its radii, so vectorized and
-repeated calls stay deterministic.  beta_ball_chunks is the one
-definition of that order.  It yields a block in chunks of CHUNK_ROWS
-rows, normalizing each chunk and drawing its radii as it goes; numpy
-gives the same bits for a count drawn in one call or in consecutive
-chunks, so the chunk length changes no bit and leaves the generator
-where one whole draw would.  sample_beta_ball is its one-chunk case,
-sample_block_beta copies each block's chunks into its columns of the
-cloud, and cap_content_full_mc folds each chunk into its projection.
+Gaussian directions, then its radii, so vectorized and repeated calls
+stay deterministic.  beta_ball_chunks is the one definition of that
+order.  It yields a block in chunks of CHUNK_ROWS rows, normalizing
+each chunk and drawing its radii as it goes; numpy gives the same bits
+for a count drawn in one call or in consecutive chunks, so the chunk
+length changes no bit and leaves the generator where one whole draw
+would.  A one-dimensional block draws its Gaussians chunk by chunk into
+one reused buffer and keeps only their signs, one byte per point: for a
+nonzero double g, sqrt(g*g) is |g| exactly (the smallest nonzero
+Gaussian, about 1e-17, is far above where g*g underflows), so g/|g| is
+exactly +-1 and the signed radius has the bits of the normalized
+direction times the radius.  A Gaussian of exactly +-0.0 gives +-radius
+there, where 0/0 would give NaN.  sample_beta_ball is the one-chunk
+case, sample_block_beta copies each block's chunks into its columns of
+the cloud, and cap_content_full_mc folds each chunk into its projection.
 RngStream(s, 0) draws the same bits as np.random.default_rng(s), so a
 generator seeded directly with s would share stream 0 with whoever
 holds it: seed only through RngStream.
@@ -153,31 +159,64 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _as_size(size) -> int:
+    """A sample count as an int (see core.as_int); never truncated, never
+    negative."""
+    n = as_int(size, "size")
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {size!r}")
+    return n
+
+
 def beta_ball_chunks(law: BetaBallLaw, rng, size: int,
                      rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
     """Yield size draws from the beta-weighted ball law in row chunks of
     at most rows, in the stream's order (see the module docstring).
 
-    Each chunk is a view into one (size, dim) array: the caller must drop
-    it before drawing on, or it pins that whole array.  size 0 yields one
-    empty chunk.
+    For dim >= 2 each chunk is a view into one (size, dim) array: the
+    caller must drop it before drawing on, or it pins that whole array.
+    For dim 1 each chunk is a fresh (k, 1) array and the call holds one
+    sign byte per point.  size 0 yields one empty chunk.  The size is
+    checked here, not at the first chunk.
     """
     gen = as_generator(rng)
-    n = int(size)
-    pts = gen.standard_normal((n, law.dim))
-    a, b = law.dim / 2.0, float(law.beta) + 1.0
+    n = _as_size(size)
+    if law.dim == 1:
+        return _segment_chunks(gen, n, float(law.beta) + 1.0, rows)
+    return _ball_chunks(gen, n, law.dim, float(law.beta) + 1.0, rows)
+
+
+def _ball_chunks(gen, n: int, dim: int, b: float, rows: int) -> Iterator[np.ndarray]:
+    pts = gen.standard_normal((n, dim))
     for lo in range(0, max(n, 1), rows):
         chunk = pts[lo:lo + rows]
         chunk /= row_norms(chunk)[:, None]
-        radii = gen.beta(a, b, size=len(chunk))
+        radii = gen.beta(dim / 2.0, b, size=len(chunk))
         chunk *= np.sqrt(radii, out=radii)[:, None]
         del radii      # not held while the next chunk is normalized
         yield chunk
 
 
+def _segment_chunks(gen, n: int, b: float, rows: int) -> Iterator[np.ndarray]:
+    # g/|g| is exactly +-1 for every nonzero double g, so a 1-D direction
+    # is kept as one sign byte; g = +-0.0 gives +-1 where g/|g| is NaN
+    sign = np.empty(n, dtype=np.int8)
+    buf = np.empty(min(n, rows))
+    for lo in range(0, n, rows):
+        k = min(rows, n - lo)
+        gen.standard_normal(out=buf[:k])
+        sign[lo:lo + k] = np.copysign(1.0, buf[:k], out=buf[:k])
+    del buf            # not held while the radii are drawn
+    for lo in range(0, max(n, 1), rows):
+        s = sign[lo:lo + rows]
+        radii = gen.beta(0.5, b, size=len(s))
+        yield np.multiply(np.sqrt(radii, out=radii), s, out=radii)[:, None]
+
+
 def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     """Draw size points from the beta-weighted ball law; shape (size, dim)."""
-    (pts,) = beta_ball_chunks(law, rng, size, rows=max(int(size), 1))
+    n = _as_size(size)
+    (pts,) = beta_ball_chunks(law, rng, n, rows=max(n, 1))
     return pts
 
 
@@ -189,10 +228,10 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
     """
     _check_pair(bs, bp)
     gen = as_generator(rng)
+    n = _as_size(size)
     laws = [BetaBallLaw(d, float(b)) for d, b in zip(bs.dims, bp.betas)]
     if len(laws) == 1:
-        return sample_beta_ball(laws[0], gen, size)
-    n = int(size)
+        return sample_beta_ball(laws[0], gen, n)
     cloud = np.empty((n, bs.dim))
     col = 0
     for law in laws:

@@ -458,11 +458,11 @@ def test_halfspace_mass_rejects_a_sample_count_that_is_not_a_positive_integer(n_
 
 def test_halfspace_mass_never_holds_the_whole_cloud():
     # six one-dimensional blocks: the (n, 6) cloud would be 6 n doubles.
-    # The fold holds the projection, one block and a few chunk-long
-    # arrays; holding a whole block's directions and radii at once would
-    # read 4 n
+    # The fold holds the projection, one sign byte per point of the block
+    # being drawn and a few chunk-long arrays; holding that block's (n, 1)
+    # normals would read 2 n doubles, and its directions and radii at once 4 n
     bs = BlockStructure((1,) * 6)
-    n = 200_000
+    n = 1_000_000
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -471,7 +471,7 @@ def test_halfspace_mass_never_holds_the_whole_cloud():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ((1 + 1) * n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize
+    assert peak < (n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize + n
 
 
 def test_verify_reduction_smoke():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from blockbeta.core import BetaParams, BlockStructure
@@ -136,6 +136,11 @@ def whole_draw(law, gen, n):
     rows=st.integers(1, 1600),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+# one-dimensional balls keep their directions as signs: empty, many short
+# chunks, and radii piled up at 1
+@example(k=1, beta=0.5, n=0, rows=CHUNK_ROWS, seed=3)
+@example(k=1, beta=0.0, n=1500, rows=7, seed=11)
+@example(k=1, beta=-0.999, n=1000, rows=300, seed=29)
 def test_chunked_draws_equal_the_whole_draw_bit_for_bit(k, beta, n, rows, seed):
     law = BetaBallLaw(k, beta)
     whole, chunked = RngStream(seed, k).generator(), RngStream(seed, k).generator()
@@ -172,6 +177,39 @@ def test_sample_block_beta_holds_the_cloud_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak < ((4 + 2) * n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize
+
+
+def test_one_dim_draws_hold_a_sign_byte_per_point():
+    # the (n, 1) result and n sign bytes; normalizing a whole (n, 1) array
+    # of normals and then drawing the radii held 2n doubles
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample_beta_ball(BetaBallLaw(1, 0.5), RngStream(5, 0), size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (np.dtype(float).itemsize + 1) * n + (1 << 20)
+
+
+@pytest.mark.parametrize("size", [2.5, True, -1])
+@pytest.mark.parametrize("draw", [
+    lambda size: beta_ball_chunks(BetaBallLaw(1, 0.0), RngStream(0, 0), size),
+    lambda size: sample_beta_ball(BetaBallLaw(2, 0.0), RngStream(0, 0), size),
+    lambda size: sample_block_beta(BlockStructure((2, 1)), BetaParams.uniform(2),
+                                   RngStream(0, 0), size),
+], ids=["beta_ball_chunks", "sample_beta_ball", "sample_block_beta"])
+def test_sizes_are_never_truncated(draw, size):
+    with pytest.raises(ValueError, match="size"):
+        draw(size)
+
+
+def test_integral_sizes_of_any_type_are_accepted():
+    for size in (np.int64(3), 3.0):
+        assert sample_beta_ball(BetaBallLaw(1, 0.0), RngStream(0, 0), size).shape == (3, 1)
+        assert sample_block_beta(BlockStructure((2, 1)), BetaParams.uniform(2),
+                                 RngStream(0, 0), size).shape == (3, 3)
 
 
 def _first_true(pred, lo: float, hi: float) -> tuple[float, float]:
