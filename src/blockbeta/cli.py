@@ -331,11 +331,26 @@ def _read_json(path):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _read_cell(cell: str, name: str, path, lineno: int) -> float:
+    """A raw.csv cell as a finite number, positive under a face count f_j."""
+    face = name.startswith("f_")
+    try:
+        x = float(cell)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x) or (face and x <= 0):
+        raise ConfigError(f"{path} line {lineno}, column {name}: {cell!r} is not a "
+                          f"{'positive ' * face}finite number")
+    return x
+
+
 def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
     """Read a record directory back: (config, raw rows).
 
     raw.csv must carry exactly the columns simulate writes for the config,
-    one number (or an empty cell) under each, and one row per (n, rep).
+    one finite number under each (a positive one under f_j; an empty
+    volume_deficit cell when the config does not record it), and one row
+    per (n, rep).
     """
     record_dir = Path(record_dir)
     record = _read_json(record_dir / "record.json")
@@ -348,16 +363,16 @@ def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
     if header != ",".join(columns):
         raise ConfigError(f"{path} has columns {header}, but its config writes "
                           f"{','.join(columns)}")
+    # simulate leaves the deficit's cells empty when the config does not record it
+    unrecorded = {"volume_deficit"} - set(config.observables)
     rows = []
     for lineno, line in enumerate(lines, start=2):
         cells = line.split(",")
         if len(cells) != len(columns):
             raise ConfigError(f"{path} line {lineno}: {len(cells)} cells under "
                               f"{len(columns)} columns")
-        try:
-            rows.append([float(c) if c else math.nan for c in cells])
-        except ValueError as exc:
-            raise ConfigError(f"{path} line {lineno}: {exc}") from exc
+        rows.append([math.nan if not cell and name in unrecorded else
+                     _read_cell(cell, name, path, lineno) for name, cell in zip(columns, cells)])
     # _observable_rows reads the rows by position within each column
     if len(rows) != len(config.n_grid) * config.reps:
         raise ConfigError(

@@ -37,22 +37,20 @@ chord decomposition, order-of-magnitude bounds) and emits a Report.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy
 
-from .core import BetaParams, BlockStructure, _check_pair
+from .core import BetaParams, BlockStructure, _check_pair, as_int
 from .report import Check, Report
 from .sampler import (
     CHUNK_ROWS,
-    BetaBallLaw,
     RngStream,
     as_generator,
     ball_density_const,
-    beta_ball_chunks,
+    block_beta_chunks,
     row_norms,
 )
 
@@ -253,13 +251,13 @@ def _cap_corner(v, s, betas) -> float:
 
 
 def _nonzero_components(cap: MetaCap, betas: Sequence[float]):
-    """Check one weight > -1 per component; return v and the weights
-    with the components of v below ZERO_COMPONENT_TOL dropped."""
+    """Check one finite weight > -1 per component; return v and the
+    weights with the components of v below ZERO_COMPONENT_TOL dropped."""
     if len(betas) != cap.m:
         raise ValueError(f"{cap.m} components but {len(betas)} beta weights")
     betas = [float(b) for b in betas]
-    if any(b <= -1.0 for b in betas):
-        raise ValueError("beta weights must exceed -1")
+    if not all(math.isfinite(b) and b > -1.0 for b in betas):
+        raise ValueError(f"beta weights must be finite and exceed -1, got {betas}")
     mask = cap.v > ZERO_COMPONENT_TOL
     return cap.v[mask], [b for b, keep in zip(betas, mask) if keep]
 
@@ -343,40 +341,32 @@ def cap_content_full_mc(
     fraction of n_samples draws that land in the halfspace.
 
     The draws are sample_block_beta's, taken chunk by chunk from
-    beta_ball_chunks.  Each chunk's columns are folded into its rows of
-    the projection in column order (the first multiplied in, the rest
-    added through one chunk-long buffer), and the chunk is dropped before
-    the next one is drawn.  So the call holds the (n_samples,)
-    projection, one block's (n_samples, d_i) array (n_samples sign bytes
-    for d_i = 1) and a few chunk-long arrays: a peak of about
-    (1 + max d_i) n_samples doubles, or 1.125 n_samples when every
-    block is one-dimensional, with no (n_samples, dim) cloud.
+    block_beta_chunks.  Each chunk's columns are added into its rows of a
+    projection that starts at zero, in column order through one
+    chunk-long buffer, and the chunk is dropped before the next one is
+    drawn.  So the call holds the (n_samples,) projection, one block's
+    (n_samples, d_i) array (n_samples sign bytes for d_i = 1) and a few
+    chunk-long arrays: a peak of about (1 + max d_i) n_samples doubles,
+    or 1.125 n_samples when every block is one-dimensional, with no
+    (n_samples, dim) cloud.
     """
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral)
-            or n_samples < 1):
+    try:
+        n = as_int(n_samples, "n_samples")
+    except ValueError:
+        n = 0
+    if n < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    gen = as_generator(rng)
     w = np.asarray(w, dtype=float)
     if w.shape != (bs.dim,):
         raise ValueError(f"expected a direction of shape ({bs.dim},), got {w.shape}")
-    _check_pair(bs, bp)
-    n = int(n_samples)
-    proj = np.empty(n)
+    proj = np.zeros(n)
     term = np.empty(min(n, CHUNK_ROWS))
     # no BLAS: a threaded matmul leaves OpenBLAS's worker spinning on the cores verify's pool uses
-    j = 0
-    for d, b in zip(bs.dims, bp.betas):
-        lo = 0
-        for chunk in beta_ball_chunks(BetaBallLaw(d, float(b)), gen, n):
-            part, buf = proj[lo:lo + len(chunk)], term[:len(chunk)]
-            for col in range(d):
-                if j + col == 0:
-                    np.multiply(chunk[:, col], w[0], out=part)
-                else:
-                    part += np.multiply(chunk[:, col], w[j + col], out=buf)
-            lo += len(chunk)
-        del chunk  # else it pins this block while the next one is drawn
-        j += d
+    for rows, cols, chunk in block_beta_chunks(bs, bp, rng, n):
+        part, buf = proj[rows], term[:len(chunk)]
+        for x, w_j in zip(chunk.T, w[cols]):
+            part += np.multiply(x, w_j, out=buf)
+        del chunk, x  # either would pin this block while the next one is drawn
     return float((proj >= s).mean())
 
 
@@ -579,6 +569,7 @@ def verify_polyspherical(bs: BlockStructure, n_samples: int = 200_000, *, rng) -
     is drawn, and each array is dropped or overwritten once used.
     """
     gen = as_generator(rng)
+    n_samples = as_int(n_samples, "n_samples")
     fns = _test_functions(bs)
     d, m = bs.dim, bs.m
 
@@ -665,7 +656,7 @@ def verify_blaschke_petkantschin_2d(n_samples: int = 400_000, *, rng) -> list[Re
     test function as soon as it is drawn.
     """
     gen = as_generator(rng)
-    n = int(n_samples)
+    n = as_int(n_samples, "n_samples")
 
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))

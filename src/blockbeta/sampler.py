@@ -14,20 +14,21 @@ Reproducibility contract: a stream is identified by (root_seed,
 stream_index); equal identifiers give bit-identical draws.  Within one
 generator the draw order is fixed: block by block, all of a block's
 Gaussian directions, then its radii, so vectorized and repeated calls
-stay deterministic.  beta_ball_chunks is the one definition of that
-order.  It yields a block in chunks of CHUNK_ROWS rows, normalizing
-each chunk and drawing its radii as it goes; numpy gives the same bits
-for a count drawn in one call or in consecutive chunks, so the chunk
-length changes no bit and leaves the generator where one whole draw
-would.  A one-dimensional block draws its Gaussians chunk by chunk into
-one reused buffer and keeps only their signs, one byte per point: for a
-nonzero double g, sqrt(g*g) is |g| exactly (the smallest nonzero
-Gaussian, about 1e-17, is far above where g*g underflows), so g/|g| is
-exactly +-1 and the signed radius has the bits of the normalized
-direction times the radius.  A Gaussian of exactly +-0.0 gives +-radius
-there, where 0/0 would give NaN.  sample_beta_ball is the one-chunk
-case, sample_block_beta copies each block's chunks into its columns of
-the cloud, and cap_content_full_mc folds each chunk into its projection.
+stay deterministic.  block_beta_chunks is the one definition of the
+block order, beta_ball_chunks of the order within a ball.  The latter
+yields a ball's draws in chunks of CHUNK_ROWS rows, normalizing each
+chunk and drawing its radii as it goes; numpy gives the same bits for a
+count drawn in one call or in consecutive chunks, so the chunk length
+changes no bit and leaves the generator where one whole draw would.  A
+one-dimensional block draws its Gaussians chunk by chunk into one reused
+buffer and keeps only their signs, one byte per point: for a nonzero
+double g, sqrt(g*g) is |g| exactly (the smallest nonzero Gaussian, about
+1e-17, is far above where g*g underflows), so g/|g| is exactly +-1 and
+the signed radius has the bits of the normalized direction times the
+radius.  A Gaussian of exactly +-0.0 gives +-radius there, where 0/0
+would give NaN.  sample_beta_ball is the one-chunk case of
+beta_ball_chunks; sample_block_beta copies block_beta_chunks' chunks
+into the cloud, and cap_content_full_mc folds them into its projection.
 RngStream(s, 0) draws the same bits as np.random.default_rng(s), so a
 generator seeded directly with s would share stream 0 with whoever
 holds it: seed only through RngStream.
@@ -220,27 +221,42 @@ def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     return pts
 
 
+def block_beta_chunks(bs: BlockStructure, bp: BetaParams, rng, size: int) -> Iterator:
+    """Yield size block-beta draws as (rows, cols, chunk), cloud[rows,
+    cols] = chunk, block by block in beta_ball_chunks' chunks.  The caller
+    must drop each chunk before asking for the next, or a block's last
+    chunk pins that block while the next one is drawn.  The inputs are
+    checked here, not at the first chunk.
+    """
+    _check_pair(bs, bp)
+    return _block_chunks(as_generator(rng), _as_size(size), bs, bp)
+
+
+def _block_chunks(gen, n: int, bs: BlockStructure, bp: BetaParams):
+    col = 0
+    for d, b in zip(bs.dims, bp.betas):
+        lo = 0
+        for chunk in beta_ball_chunks(BetaBallLaw(d, float(b)), gen, n):
+            yield slice(lo, lo + len(chunk)), slice(col, col + d), chunk
+            lo += len(chunk)
+        del chunk      # else it pins this block while the next one is drawn
+        col += d
+
+
 def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.ndarray:
     """Draw size block-beta points in the ball product; blocks independent.
 
     Each block's chunks are copied into one (size, dim) array as they are
     drawn, so the peak is the cloud plus the largest block.
     """
-    _check_pair(bs, bp)
     gen = as_generator(rng)
-    n = _as_size(size)
-    laws = [BetaBallLaw(d, float(b)) for d, b in zip(bs.dims, bp.betas)]
-    if len(laws) == 1:
-        return sample_beta_ball(laws[0], gen, n)
-    cloud = np.empty((n, bs.dim))
-    col = 0
-    for law in laws:
-        lo = 0
-        for chunk in beta_ball_chunks(law, gen, n):
-            cloud[lo:lo + len(chunk), col:col + law.dim] = chunk
-            lo += len(chunk)
-        del chunk      # else it pins this block while the next one is drawn
-        col += law.dim
+    chunks = block_beta_chunks(bs, bp, gen, size)      # checks the inputs
+    if bs.m == 1:       # the one block's array is the cloud, uncopied
+        return sample_beta_ball(BetaBallLaw(bs.dims[0], float(bp.betas[0])), gen, size)
+    cloud = np.empty((_as_size(size), bs.dim))
+    for rows, cols, chunk in chunks:
+        cloud[rows, cols] = chunk
+        del chunk      # else a block's last chunk pins it while the next one is drawn
     return cloud
 
 

@@ -641,6 +641,40 @@ def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize("column,cell,observables", [
+    ("f_1", "nan", ["f_vector"]),
+    ("f_1", "inf", ["f_vector"]),
+    ("f_1", "1e999", ["f_vector"]),             # overflows to inf
+    ("f_1", "", ["f_vector"]),
+    ("f_0", "0", ["f_vector"]),
+    ("f_0", "-4", ["f_vector"]),
+    ("n", "", ["f_vector"]),
+    # an empty deficit is legal only where the config does not record it
+    ("volume_deficit", "", ["f_vector", "volume_deficit"]),
+    ("volume_deficit", "nan", ["f_vector", "volume_deficit"]),
+])
+def test_fit_refuses_a_raw_cell_that_is_not_a_finite_count(tmp_path, capsys, column, cell,
+                                                           observables):
+    # fit printed exponent=nan or inf local slopes and exited 0, or (for a
+    # zero count) crashed in the fit
+    cfg = write_config(tmp_path, n_grid=[10, 32, 100, 320, 1000], reps=2,
+                       observables=observables)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    record_dir = tmp_path / "out" / "cli"
+    assert main(["fit", "--record", str(record_dir)]) == 0
+    raw = record_dir / "raw.csv"
+    header, *rows = raw.read_text().splitlines()
+    cells = rows[1].split(",")
+    cells[header.split(",").index(column)] = cell
+    rows[1] = ",".join(cells)
+    raw.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--record", str(record_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {raw} line 3, column {column}: {cell!r} is not a ")
+    assert "internal" not in err
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"block_dims": [2], "nope": True}))

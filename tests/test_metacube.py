@@ -227,6 +227,16 @@ def test_cap_zero_component_dropped():
     assert a == pytest.approx(b, rel=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("content", [cap_content_meta, section_content_meta])
+def test_caps_and_sections_refuse_a_weight_that_is_not_finite_and_above_minus_one(
+        content, bad):
+    # a NaN or infinite weight gave a NaN content; BetaParams refuses it too
+    for betas in ([bad, 0.5], [0.5, bad]):
+        with pytest.raises(ValueError, match="beta weights must be finite and exceed -1"):
+            content(MetaCap(np.array([0.8, 0.6]), 0.4), betas)
+
+
 def test_cap_corner_handles_thin_slivers():
     # direct quadrature would see ~1e-30 of cancelling mass here
     v = np.array([0.6, 0.8])
@@ -448,12 +458,17 @@ def test_halfspace_mass_rejects_a_direction_of_the_wrong_length():
             cap_content_full_mc(bs, BetaParams.uniform(2), w, 0.0, 10, RngStream(0, 0))
 
 
-@pytest.mark.parametrize("n_samples", [0, -5, 2.7])
+@pytest.mark.parametrize("n_samples", [0, -5, 2.7, True])
 def test_halfspace_mass_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
     bs = BlockStructure((2, 1))
     with pytest.raises(ValueError, match="positive integer"):
         cap_content_full_mc(bs, BetaParams.uniform(2), [1.0, 0.0, 0.0], 0.0, n_samples,
                             RngStream(0, 0))
+    # an integral float is a count, as sample_block_beta takes it
+    assert (cap_content_full_mc(bs, BetaParams.uniform(2), [1.0, 0.0, 0.0], 0.0, 1000.0,
+                                RngStream(0, 0))
+            == cap_content_full_mc(bs, BetaParams.uniform(2), [1.0, 0.0, 0.0], 0.0, 1000,
+                                   RngStream(0, 0)))
 
 
 def test_halfspace_mass_never_holds_the_whole_cloud():
@@ -472,6 +487,23 @@ def test_halfspace_mass_never_holds_the_whole_cloud():
     finally:
         tracemalloc.stop()
     assert peak < (n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize + n
+
+
+def test_halfspace_mass_drops_each_block_before_drawing_the_next():
+    # (3,3): the projection, one 3n-double block and a few chunk-long
+    # arrays; a block's last chunk (or a column of it) kept while the next
+    # block is drawn would pin the first block too, 7n
+    bs = BlockStructure((3, 3))
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cap_content_full_mc(bs, BetaParams.uniform(2), np.full(6, 6 ** -0.5), 0.1, n,
+                            RngStream(5, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ((1 + 3) * n + 8 * CHUNK_ROWS) * np.dtype(float).itemsize
 
 
 def test_verify_reduction_smoke():
@@ -525,6 +557,17 @@ def test_verify_bp2d_single_sample_does_not_pass():
     for rep in verify_blaschke_petkantschin_2d(n_samples=1, rng=RngStream(0, 3)):
         assert not rep.passed
         assert all(math.isnan(c.stat) and not c.passed for c in rep.checks)
+
+
+@pytest.mark.parametrize("n_samples", [2.7, True])
+@pytest.mark.parametrize("suite", [
+    lambda n: verify_polyspherical(BlockStructure((2, 1)), n_samples=n, rng=RngStream(0, 2)),
+    lambda n: verify_blaschke_petkantschin_2d(n_samples=n, rng=RngStream(0, 3)),
+], ids=["polyspherical", "bp2d"])
+def test_verify_suites_refuse_a_sample_count_that_is_not_an_integer(suite, n_samples):
+    # 2.7 drew 2 pairs in bp2d and passed; polyspherical raised a bare TypeError
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        suite(n_samples)
 
 
 def test_verify_bounds_smoke():

@@ -19,6 +19,7 @@ from blockbeta.sampler import (
     ball_density_const,
     ball_volume,
     beta_ball_chunks,
+    block_beta_chunks,
     container_volume,
     row_norms,
     sample_beta_ball,
@@ -179,6 +180,22 @@ def test_sample_block_beta_holds_the_cloud_and_one_block():
     assert peak < ((4 + 2) * n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize
 
 
+def test_sample_block_beta_drops_each_block_before_drawing_the_next():
+    # (3,3): the 6n-double cloud, one 3n-double block and a few chunk-long
+    # arrays; a block's last chunk kept while the next block is drawn
+    # would pin the first block too, 12n
+    bs = BlockStructure((3, 3))
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample_block_beta(bs, BetaParams.uniform(2), RngStream(5, 0), size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ((6 + 3) * n + 8 * CHUNK_ROWS) * np.dtype(float).itemsize
+
+
 def test_one_dim_draws_hold_a_sign_byte_per_point():
     # the (n, 1) result and n sign bytes; normalizing a whole (n, 1) array
     # of normals and then drawing the radii held 2n doubles
@@ -199,7 +216,9 @@ def test_one_dim_draws_hold_a_sign_byte_per_point():
     lambda size: sample_beta_ball(BetaBallLaw(2, 0.0), RngStream(0, 0), size),
     lambda size: sample_block_beta(BlockStructure((2, 1)), BetaParams.uniform(2),
                                    RngStream(0, 0), size),
-], ids=["beta_ball_chunks", "sample_beta_ball", "sample_block_beta"])
+    lambda size: block_beta_chunks(BlockStructure((2, 1)), BetaParams.uniform(2),
+                                   RngStream(0, 0), size),
+], ids=["beta_ball_chunks", "sample_beta_ball", "sample_block_beta", "block_beta_chunks"])
 def test_sizes_are_never_truncated(draw, size):
     with pytest.raises(ValueError, match="size"):
         draw(size)
