@@ -22,9 +22,10 @@ verify runs the suites of the SUITES registry on the same WORKERS
 threads, started longest first (SUITE_START_ORDER), and prints their
 reports in registry order; each Monte Carlo suite draws from its own
 stream, named in SUITES, so the output does not depend on the schedule.
-The two threads do not wait on each other: the sampler suite's slow
-exact KS p-value runs without the GIL (sampler._kstwo_sf), and the
-two-route suites reduce each route to its (mean, se) as soon as it is
+The two threads do not wait on each other: the sampler suite's KS
+p-values come from sampler._kstwo_sf, whose one slow route runs without
+the GIL and which at the default sample size needs no scipy.stats, and
+the two-route suites reduce each route to its (mean, se) as soon as it is
 drawn, so the big-array suites can overlap without raising the peak.
 """
 
@@ -350,7 +351,7 @@ def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
     raw.csv must carry exactly the columns simulate writes for the config,
     one finite number under each (a positive one under f_j; an empty
     volume_deficit cell when the config does not record it), and one row
-    per (n, rep).
+    per (n, rep), in the order simulate writes them.
     """
     record_dir = Path(record_dir)
     record = _read_json(record_dir / "record.json")
@@ -379,6 +380,11 @@ def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
             f"record {record_dir} has {len(rows)} data rows, its config asks for "
             f"{len(config.n_grid) * config.reps}"
         )
+    for i, row in enumerate(rows):
+        n, rep = config.n_grid[i // config.reps], i % config.reps
+        if row[:2] != [n, rep]:
+            raise ConfigError(f"{path} line {i + 2}: n, rep read {row[0]:.15g}, {row[1]:.15g}, "
+                              f"where the config's order puts {n}, {rep}")
     return config, np.array(rows, dtype=float)
 
 

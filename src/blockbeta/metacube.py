@@ -140,7 +140,7 @@ def _quad(f, lo: float, hi: float) -> float:
     return float(y)
 
 
-def _outer_levels(s, consts, betas, v, outer, below, above, inner):
+def _outer_levels(s, consts, betas, v, outer, below, above, inner, inner_floor=None):
     """Chain the outer quadrature levels of a cap or section around inner.
 
     Level i integrates coordinate j = outer[i] against its weight
@@ -149,10 +149,15 @@ def _outer_levels(s, consts, betas, v, outer, below, above, inner):
     move y . v by at most below[i] down and above[i] up, so outside
     [(s - partial - below[i]) / v_j, (s - partial + above[i]) / v_j] the
     integrand vanishes; clamping to it keeps quadrature panels on the
-    actual support when the cap or slice is thin.  Returns level 0 as a
-    function of the partial sum.
+    actual support when the cap or slice is thin.  The next level's lower
+    limit stops at -1 once the partial sum it gets reaches a floor
+    (inner_floor for inner), which kinks the integrand there.  Given
+    inner_floor (caps do), a level whose range holds that point strictly
+    inside is integrated in two pieces split at it; without it (sections)
+    every level is one piece.  Returns level 0 as a function of the
+    partial sum.
     """
-    def level(c: float, b: float, vj: float, down: float, up: float, nxt):
+    def level(c: float, b: float, vj: float, down: float, up: float, floor, nxt):
         def val(partial: float) -> float:
             lo = max(-1.0, (s - partial - down) / vj)
             hi = min(1.0, (s - partial + up) / vj)
@@ -162,15 +167,22 @@ def _outer_levels(s, consts, betas, v, outer, below, above, inner):
             def f(y: float) -> float:
                 return c * (1.0 - y * y) ** b * nxt(partial + vj * y)
 
+            if floor is not None:
+                kink = (floor - partial) / vj
+                if lo < kink < hi:
+                    return _quad(f, lo, kink) + _quad(f, kink, hi)
             return _quad(f, lo, hi)
 
         return val
 
-    val = inner
+    val, floor = inner, inner_floor
     for i in reversed(range(len(outer))):
         j = outer[i]
         # v as Python floats: the same arithmetic as numpy scalars, but faster
-        val = level(consts[j], betas[j], float(v[j]), float(below[i]), float(above[i]), val)
+        vj, down = float(v[j]), float(below[i])
+        val = level(consts[j], betas[j], vj, down, float(above[i]), floor, val)
+        if floor is not None:       # where this level's lower limit reaches -1
+            floor = s - down + vj
     return val
 
 
@@ -195,12 +207,14 @@ def _cap_general(v, s, betas) -> float:
         lo = (s - partial) / v_in
         if lo >= 1.0:
             return 0.0
-        lo = max(lo, -1.0)
+        if lo < -1.0:
+            lo = -1.0
         return c_in * (scale * (betainc(a, a, (1.0 - lo) / 2.0) * beta_fn))
 
-    # a cap has no upper limit: raising y . v never leaves it
+    # a cap has no upper limit: raising y . v never leaves it; inner's
+    # lower limit reaches -1 at partial = s + v_in
     inf = [math.inf] * len(outer)
-    return _outer_levels(s, consts, betas, v, outer, rest, inf, inner_val)(0.0)
+    return _outer_levels(s, consts, betas, v, outer, rest, inf, inner_val, s + v_in)(0.0)
 
 
 def _cap_corner(v, s, betas) -> float:
@@ -312,7 +326,10 @@ def section_content_meta(cap: MetaCap, betas: Sequence[float]) -> float:
 
         def f(tval: float) -> float:
             y_solve = (s - partial - v[inner] * tval) / v[solve]
-            y_solve = min(max(y_solve, -1.0), 1.0)
+            if y_solve < -1.0:
+                y_solve = -1.0
+            elif y_solve > 1.0:
+                y_solve = 1.0
             return (
                 consts[inner] * (1.0 - tval * tval) ** betas[inner]
                 * consts[solve] * (1.0 - y_solve * y_solve) ** betas[solve]

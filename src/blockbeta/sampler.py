@@ -44,13 +44,31 @@ such points a < b every i in it obeys
 so only blocks whose bound exceeds the best evaluated value minus
 KS_SLACK are evaluated in full.  KS_SLACK covers betainc's ulp-level
 non-monotonicity and the rounding of the bounds.  The statistic and its
-exact p-value are equal bit for bit to scipy.stats.kstest.  _kstwo_sf
-takes that p-value as scipy.stats.kstwo.sf(D, n), except in the one
-case where kstwo.sf sums about n terms in 2 scipy.special.smirnov(n, D)
-(n > 140, 1 < nD < n - 1, D < 1/2, 2.2 <= nD^2 < 370; 0.2-0.3 s at
-n = 200 000).  There it makes that same smirnov call itself, on an array
-padded to KS_GIL_FREE_LEN elements: numpy runs a ufunc loop that long
-without the GIL, so the other verify thread runs meanwhile.
+exact p-value are equal bit for bit to scipy.stats.kstest.
+
+_kstwo_sf gives that p-value, scipy.stats.kstwo.sf(D, n), bit for bit.
+For n > 140 it takes the routes of Simard and L'Ecuyer's recipe ("Computing
+the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11),
+2011) as scipy 1.17's stats._ksstats._kolmogn does, ported op for op:
+the Ruben-Gambino edges nD <= 1 and nD >= n - 1, 2 smirnov(n, D) for
+D >= 1/2 or 2.2 <= nD^2 < 370, 0 from nD^2 >= 370 on, and 1 minus the
+Pelz-Good approximation below 2.2.  Only n <= 140 and the Durbin-matrix
+corner (n <= 100 000 and n D^1.5 <= 1.4) call kstwo.sf itself, which
+loads scipy.stats there.  At verify's default 200 000 samples a radial
+check (n = 200 000) never reaches the corner, and a projection check
+(n = 100 000) only at D <= 5.8e-4, to which kstwo gives probability
+2.2e-15.  The smirnov sum holds about n terms (0.2-0.3 s at n =
+200 000); it is called on an array padded to KS_GIL_FREE_LEN elements,
+which numpy loops over without the GIL, so the other verify thread runs
+meanwhile.
+
+_ks_two_sample is scipy.stats.ks_2samp bit for bit.  Up to KS_EXACT_MAX
+points in the larger sample ks_2samp's method="auto" is exact, and it is
+called itself.  Above, both samples are sorted in place, and D is the
+extreme difference of the two empirical cdfs, taken at each sample's
+own points with searchsorted(side="right") in ks_2samp's expressions,
+so no pooled array is built; p is _kstwo_sf(D, round(mn / (m + n))), as
+in ks_2samp's asymptotic path.
 
 row_norms is np.linalg.norm(x, axis=1) bit for bit without the (n, k)
 array of squares (see its docstring).
@@ -74,6 +92,22 @@ KS_BLOCK = 32
 KS_SLACK = 1e-12
 # numpy releases the GIL for a ufunc loop over more than 500 elements
 KS_GIL_FREE_LEN = 501
+# ks_2samp's method="auto" is exact up to this many points in the larger
+# sample (its MAX_AUTO_N)
+KS_EXACT_MAX = 10_000
+# constants of scipy.stats._ksstats, in its arithmetic
+_PI_SQUARED = np.pi ** 2
+_PI_FOUR = np.pi ** 4
+_PI_SIX = np.pi ** 6
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_SQRT3 = np.sqrt(3)
+_MIN_LOG = -708
+# B_2j / (2j (2j - 1)) for j = 8, ..., 1
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
 # from this many columns on, numpy's add.reduce sums a row pairwise
 ROW_NORM_PAIRWISE = 8
 # rows per chunk of the draw stream: 512 KiB per column
@@ -261,16 +295,119 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
 
 
 def _kstwo_sf(d, n: int) -> np.float64:
-    """scipy.stats.kstwo.sf(d, n) clipped to [0, 1], bit for bit; its
-    2 smirnov(n, d) case runs without the GIL (see the module docstring)."""
+    """scipy.stats.kstwo.sf(d, n) clipped to [0, 1], bit for bit.
+
+    For n > 140 this is scipy.stats._ksstats._kolmogn(n, d, cdf=False)
+    op for op, except in its Durbin-matrix corner (n <= 100 000 and
+    n d^1.5 <= 1.4), which goes to kstwo.sf itself, as do n <= 140 and a
+    NaN d (see the module docstring).
+    """
     n = int(n)
-    t = n * d
-    # scipy's own tests, in its order and arithmetic (stats._ksstats._kolmogn)
-    if n > 140 and 1.0 < t < n - 1 and d < 0.5 and 2.2 <= t * d < 370.0:
-        padded = np.ones(KS_GIL_FREE_LEN)     # smirnov(n, 1) returns 0 at once
-        padded[0] = d
-        return np.clip(2 * scipy.special.smirnov(n, padded)[0], 0.0, 1.0)
+    x = np.asarray(d, dtype=np.float64)      # a 0-d array, as kstwo.sf hands it on
+    if n <= 140 or np.isnan(x):
+        return _scipy_kstwo_sf(d, n)
+    if x <= 0.5 / n:                         # kstwo's support is (1/(2n), 1)
+        return np.float64(1.0)
+    if x >= 1.0:
+        return np.float64(0.0)
+    t = n * x
+    if t <= 1.0:                             # Ruben-Gambino
+        if t <= 0.5:
+            return np.float64(1.0)
+        prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        return np.clip(1.0 - prob, 0.0, 1.0)
+    if t >= n - 1:                           # Ruben-Gambino
+        return np.clip(2 * (1.0 - x) ** n, 0.0, 1.0)
+    if x >= 0.5:
+        return np.clip(_two_smirnov(n, x), 0.0, 1.0)
+    nxsquared = t * x
+    if nxsquared >= 370.0:
+        return np.float64(0.0)
+    if nxsquared >= 2.2:
+        return np.clip(_two_smirnov(n, x), 0.0, 1.0)
+    if n <= 100_000 and n * x ** 1.5 <= 1.4:
+        return _scipy_kstwo_sf(d, n)
+    return np.clip(1.0 - _pelz_good_cdf(n, x), 0.0, 1.0)
+
+
+def _scipy_kstwo_sf(d, n: int) -> np.float64:
     return np.clip(np.asarray(scipy.stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
+
+
+def _two_smirnov(n: int, x) -> np.float64:
+    """2 scipy.special.smirnov(n, x), computed without the GIL: numpy loops
+    over an array padded to KS_GIL_FREE_LEN elements without it, and
+    smirnov(n, 1) returns 0 at once."""
+    padded = np.ones(KS_GIL_FREE_LEN)
+    padded[0] = x
+    return 2 * scipy.special.smirnov(n, padded)[0]
+
+
+def _log_nfactorial_div_n_pow_n(n: int) -> np.float64:
+    # log(n! / n^n) by Stirling's series, as scipy.stats._ksstats has it
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+
+
+def _pelz_good_cdf(n: int, x) -> np.float64:
+    """The Pelz-Good approximation to P(D_n <= x), 0 < x < 1: scipy.stats.
+    _ksstats._kolmogn_PelzGood(n, x, cdf=True) op for op."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < _MIN_LOG:  # z ~ 0.041743441416853426
+        return np.float64(0.0)
+
+    q = np.exp(qlog)
+
+    # coefficients of the terms in the sums for K1, K2 and K3
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    K0to3 = np.zeros(4)
+    # Horner's scheme for sum c_i q^(i^2), a sum over the odd integers
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b*msquared,
+                           k2a + k2b*msquared + k2c*mfour,
+                           k3a + k3b*msquared + k3c*mfour + k3d*msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the other sum, over all integers k: (pi^2 k^2) q^(k^2) for K2,
+    # (3 pi^2 k^2 z^2 - pi^4 k^4) q^(k^2) for K3
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI/(-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI/(216 * zsix)
+    K0to3[3] += k3extra
+    powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    K0to3 /= powers_of_n
+    return sum(K0to3)
 
 
 def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
@@ -305,6 +442,40 @@ def _ks_one_sample(x, cdf) -> tuple[np.float64, np.float64]:
     return d, _kstwo_sf(d, n)
 
 
+def _ks_two_sample(x, y) -> tuple[np.float64, np.float64]:
+    """Two-sided two-sample KS statistic and p-value of the float arrays x
+    and y, equal bit for bit to scipy.stats.ks_2samp(x, y).
+
+    Sorts x and y in place.  Up to KS_EXACT_MAX points in the larger
+    sample ks_2samp is exact, and is called itself.  Above, D comes from
+    the cdf differences at each sample's own points, in ks_2samp's
+    expressions, with no pooled array, and p from _kstwo_sf as in
+    ks_2samp's asymptotic path.  Raises ValueError on an empty or
+    non-finite sample.
+    """
+    n1, n2 = x.size, y.size
+    if min(n1, n2) == 0 or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("KS test needs two nonempty samples of finite values")
+    if max(n1, n2) <= KS_EXACT_MAX:
+        res = scipy.stats.ks_2samp(x, y)
+        return res.statistic, res.pvalue
+    x.sort()
+    y.sort()
+    # the extremes of cdf1 - cdf2 over x and y, pooled in ks_2samp
+    lows, highs = [], []
+    for pts in (x, y):
+        diff = np.searchsorted(x, pts, side="right") / n1
+        diff -= np.searchsorted(y, pts, side="right") / n2
+        lows.append(diff.min())
+        highs.append(diff.max())
+        del diff
+    min_s = np.clip(-min(lows), 0, 1)
+    max_s = max(highs)
+    d = min_s if min_s > max_s else max_s
+    m, n = sorted([float(n1), float(n2)], reverse=True)
+    return np.float64(d), _kstwo_sf(d, np.round(m * n / (m + n)))
+
+
 def verify_sampler(n_samples: int, *, rng) -> Report:
     """Radial law and projection property via Kolmogorov-Smirnov.
 
@@ -313,11 +484,15 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
     whose bound max((b+1)/n - F(x_a), F(x_b) - a/n) exceeds the best value
     minus KS_SLACK, which covers betainc's ulp-level non-monotonicity and
     the rounding of the bounds.  Its D and p are equal bit for bit to
-    scipy.stats.kstest.  The projection checks use ks_2samp.
+    scipy.stats.kstest.  The projection checks use _ks_two_sample, whose D
+    and p are equal bit for bit to scipy.stats.ks_2samp.  Above
+    KS_EXACT_MAX samples neither test loads scipy.stats, except in
+    kstwo.sf's Durbin-matrix corner.
     """
-    # loaded before the first cloud is drawn, not at the first p-value:
-    # loading it with the clouds alive raises verify's peak RSS by about 6 MiB
-    scipy.stats
+    if n_samples <= KS_EXACT_MAX:
+        # ks_2samp's exact path needs it: loaded before the first cloud is
+        # drawn, as loading it beside the live clouds raises the peak RSS
+        scipy.stats
     rep = Report(title="sampler laws")
     gen = as_generator(rng)
     for k in (1, 2, 3, 4):
@@ -341,11 +516,10 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
         lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n_samples)
         r2 = row_norms(lifted[:, :k])
         del lifted
-        res = scipy.stats.ks_2samp(r1, r2)
+        d, p = _ks_two_sample(r1, r2)
         del r1, r2
         rep.add(Check(
             name=f"projection[k={k},from={full}]",
-            value=res.statistic, reference=0.0,
-            stat_name="p", stat=res.pvalue, passed=res.pvalue > 0.01,
+            value=d, reference=0.0, stat_name="p", stat=p, passed=p > 0.01,
         ))
     return rep

@@ -392,6 +392,17 @@ def test_verify_sampler_loads_scipy_stats_before_its_first_cloud():
     assert out.stdout.endswith("\nTrue\n")
 
 
+def test_verify_all_at_its_defaults_leaves_scipy_stats_unloaded():
+    # past KS_EXACT_MAX samples the KS p-values need scipy.stats only in
+    # kstwo.sf's Durbin-matrix corner, which the default seed does not reach
+    script = ("import sys, blockbeta.cli\n"
+              "code = blockbeta.cli.main(['verify', '--suite', 'all'])\n"
+              "print(code, 'scipy.stats' in sys.modules)\n")
+    out = _fresh_python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("\n0 False\n")
+
+
 def test_verify_in_a_fresh_interpreter_equals_verify_in_process(capsys):
     # the fresh process loads scipy.integrate at its first quadrature call,
     # from verify's two threads at once; this one has it loaded already
@@ -443,6 +454,25 @@ def test_fit_rejects_a_raw_csv_written_for_another_container(tmp_path, capsys):
         assert "n,rep,f_0,f_1,volume_deficit,seed_stream" in captured.err
         assert "n,rep,f_0,f_1,f_2,volume_deficit,seed_stream" in captured.err
         assert "internal" not in captured.err
+
+
+def test_load_record_checks_each_row_against_its_n_and_rep(tmp_path, capsys):
+    # a row labelled n = 5000, rep 1 was averaged under n = 10 and fit exited 0
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    record_dir = tmp_path / "out" / "cli"
+    raw = record_dir / "raw.csv"
+    header, first, *rows = raw.read_text().splitlines()
+    assert first.startswith("10,0,")
+    raw.write_text("\n".join([header, "5000,1," + first[len("10,0,"):], *rows]) + "\n")
+    with pytest.raises(ConfigError, match="line 2: n, rep read 5000, 1, where the config's "
+                                          "order puts 10, 0"):
+        load_record(record_dir)
+    capsys.readouterr()
+    assert main(["fit", "--record", str(record_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {raw} line 2: n, rep read 5000, 1,")
+    assert "internal" not in err
 
 
 def test_load_record_rejects_missing_rows(tmp_path):
@@ -833,8 +863,8 @@ def test_verify_all_starts_the_suites_in_start_order(monkeypatch, capsys):
 
 # traced peak of each big-array suite at --samples 200000, in arrays of
 # 200000 doubles, with a margin of about half an array over the measured
-# 12.06 (sampler, inside stats.ks_2samp), 7.08 and 10.25
-SUITE_PEAK_ARRAYS = {"sampler": 12.5, "polyspherical": 7.5, "bp2d": 10.75}
+# 8.01 (sampler), 7.08 and 10.25
+SUITE_PEAK_ARRAYS = {"sampler": 8.5, "polyspherical": 7.5, "bp2d": 10.75}
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_PEAK_ARRAYS))

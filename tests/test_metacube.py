@@ -264,6 +264,29 @@ def test_cap_complement_identity(v, data):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def test_a_large_cap_is_split_where_its_inner_limit_reaches_minus_one():
+    # the outer level crosses y* = (s + v_in) / v_0, where the inner lower
+    # limit clamps to -1; integrated in one piece the cap read
+    # 0.9006889343574143, and cap + complement = 1 + 2.2e-6
+    v = np.array([0.48564293, 0.87415728])
+    v /= np.linalg.norm(v)
+    s = -0.5941436307320409
+    cap = cap_content_meta(MetaCap(v, s), [1.0, 1.0])
+    complement = cap_content_meta(MetaCap(v, -s), [1.0, 1.0])
+    assert cap + complement == pytest.approx(1.0, abs=metacube.QUAD_ABS_TOL)
+    # one level over y_0, the inner integral of 3/4 (1 - t^2) in closed form
+    c = ball_density_const(1, 1.0)
+
+    def f(y):
+        lo = max(-1.0, (s - v[0] * y) / v[1])
+        return c * (1.0 - y * y) * c * ((1.0 - lo) - (1.0 - lo ** 3) / 3.0)
+
+    kink = (s + v[1]) / v[0]
+    assert -1.0 < kink < 1.0
+    ref = integrate.quad(f, -1.0, 1.0, points=[kink], epsabs=1e-13, epsrel=1e-13)[0]
+    assert cap == pytest.approx(ref, abs=metacube.QUAD_ABS_TOL)
+
+
 betas_st = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 
 

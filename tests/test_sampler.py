@@ -12,6 +12,7 @@ from blockbeta.core import BetaParams, BlockStructure
 from blockbeta.sampler import (
     CHUNK_ROWS,
     KS_BLOCK,
+    KS_EXACT_MAX,
     ROW_NORM_PAIRWISE,
     BetaBallLaw,
     RngStream,
@@ -26,6 +27,7 @@ from blockbeta.sampler import (
     sample_block_beta,
     verify_sampler,
     _ks_one_sample,
+    _ks_two_sample,
     _kstwo_sf,
 )
 
@@ -249,22 +251,54 @@ def _smirnov_route(d: float, n: int) -> bool:
     return n > 140 and 1.0 < t < n - 1 and d < 0.5 and 2.2 <= t * d < 370.0
 
 
+def _durbin_corner(d: float, n: int) -> bool:
+    # scipy's test for kstwo.sf's Durbin-matrix route at n > 140, in its
+    # own arithmetic: d inside the support, nd^2 below the smirnov route
+    x = np.asarray(d, dtype=np.float64)
+    t = n * x
+    return (0.5 / n < x < 1.0 and 1.0 < t < n - 1 and x < 0.5 and t * x < 2.2
+            and n <= 100_000 and n * x ** 1.5 <= 1.4)
+
+
+def _carried_route(d: float, n: int) -> bool:
+    # _kstwo_sf leaves kstwo.sf uncalled exactly here
+    return n > 140 and not _durbin_corner(d, n)
+
+
+def _pelz_good_underflows(d: float, n: int) -> bool:
+    # Pelz-Good's own cut, qlog < -708, in its arithmetic
+    z = np.sqrt(n) * np.asarray(d, dtype=np.float64)
+    return -np.pi ** 2 / 8 / z ** 2 < -708
+
+
 def _route_edges():
-    # (n, d) on both sides of each edge of the smirnov route
+    # (n, d) on both sides of each edge of kstwo.sf's routes
     for n in (140, 141):
         yield n, math.sqrt(5.0 / n)
-    for n, level in ((141, 2.2), (1000, 2.2), (200_000, 2.2), (2000, 370.0), (200_000, 370.0)):
+        yield n, math.sqrt(1.0 / n)             # Pelz-Good at 141
+    for n, level in ((141, 2.2), (1000, 2.2), (200_000, 2.2), (150_000, 18.0),
+                     (2000, 370.0), (200_000, 370.0)):
         yield from zip((n, n), _first_true(lambda d, n=n, level=level: n * d * d >= level,
                                            0.0, 0.5))
+    # the Durbin-matrix corner n <= 100 000, n d^1.5 <= 1.4
+    for n in (100_000, 100_001):
+        yield from zip((n, n), _first_true(lambda d, n=n: n * np.asarray(d) ** 1.5 > 1.4,
+                                           0.0, 0.01))
     yield from zip((1000, 1000), _first_true(lambda d: d >= 0.5, 0.25, 0.75))
-    for n in (141, 1000):
+    for n in (141, 1000, 200_000):
         yield from zip((n, n), _first_true(lambda d, n=n: n * d > 1.0, 0.0, 1.0))
         yield from zip((n, n), _first_true(lambda d, n=n: n * d >= n - 1, 0.0, 1.0))
+        # the edges of kstwo's support (1/(2n), 1)
+        yield from zip((n, n), _first_true(lambda d, n=n: d > 0.5 / n, 0.0, 1.0))
+        yield n, 1.0
+    yield from zip((200_000, 200_000),
+                   _first_true(lambda d: not _pelz_good_underflows(d, 200_000), 1e-6, 1e-3))
 
 
 def test_kstwo_sf_equals_scipy_on_both_sides_of_the_smirnov_route(monkeypatch):
     edges = list(_route_edges())
     assert {_smirnov_route(d, n) for n, d in edges} == {True, False}
+    assert {_carried_route(d, n) for n, d in edges} == {True, False}
     scipy_sf = stats.kstwo.sf
     for n, d in edges:
         want = np.clip(np.asarray(scipy_sf(d, n), dtype=np.float64), 0.0, 1.0)
@@ -273,8 +307,19 @@ def test_kstwo_sf_equals_scipy_on_both_sides_of_the_smirnov_route(monkeypatch):
         got = _kstwo_sf(np.float64(d), n)
         monkeypatch.undo()
         assert type(got) is type(want) and got.tobytes() == want.tobytes(), (n, d)
-        # the smirnov route is the only one that leaves kstwo.sf uncalled
-        assert (not calls) == _smirnov_route(d, n), (n, d)
+        # only n <= 140 and the Durbin-matrix corner call kstwo.sf
+        assert (not calls) == _carried_route(d, n), (n, d)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(141, 10 ** 6), level=st.floats(1e-4, 2.2, exclude_max=True))
+def test_kstwo_sf_equals_scipy_below_the_smirnov_route(n, level):
+    # the Pelz-Good and Ruben-Gambino routes and the Durbin-matrix corner,
+    # none of which sums n terms
+    d = np.float64(math.sqrt(level / n))
+    want = np.clip(np.asarray(stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
+    got = _kstwo_sf(d, n)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes(), (n, d)
 
 
 def test_kstwo_sf_lets_other_threads_run_on_the_smirnov_route():
@@ -445,6 +490,48 @@ def test_ks_one_sample_evaluates_a_quarter_of_the_cdf_at_most():
     assert d == ref.statistic and p == ref.pvalue
 
 
+def _two_sample_case(n1: int, n2: int, kind: str, seed: int):
+    # "apart" samples two laws far enough apart that n D^2 >= 370, p = 0
+    gen = RngStream(seed, 0).generator()
+    x = gen.beta(1.5, 3.0, size=n1)
+    y = gen.beta(1.5, 8.0 if kind == "apart" else 3.03, size=n2)
+    if kind == "ties":
+        x, y = np.round(x, 3), np.round(y, 3)
+    return x, y
+
+
+@pytest.mark.parametrize("n1, n2", [(2000, 2000), (1500, 2500), (KS_EXACT_MAX, KS_EXACT_MAX),
+                                    (KS_EXACT_MAX + 1, KS_EXACT_MAX + 1),
+                                    (KS_EXACT_MAX, KS_EXACT_MAX + 1), (30_000, 30_000),
+                                    (12_000, 31_000), (31_000, 12_000)])
+@pytest.mark.parametrize("kind", ["plain", "ties", "apart"])
+def test_ks_two_sample_equals_scipy_ks_2samp_bit_for_bit(n1, n2, kind):
+    for seed in range(3):
+        x, y = _two_sample_case(n1, n2, kind, seed)
+        ref = stats.ks_2samp(x, y)
+        d, p = _ks_two_sample(x.copy(), y.copy())
+        assert type(d) is type(ref.statistic) and d.tobytes() == ref.statistic.tobytes()
+        assert type(p) is type(ref.pvalue) and p.tobytes() == ref.pvalue.tobytes()
+
+
+def test_ks_two_sample_sorts_in_place_and_leaves_scipy_stats_uncalled(monkeypatch):
+    # past KS_EXACT_MAX neither ks_2samp nor (outside the Durbin corner) kstwo.sf runs
+    x, y = _two_sample_case(KS_EXACT_MAX + 1, 20_000, "plain", 4)
+    ref = stats.ks_2samp(x, y)
+    for name in ("ks_2samp", "kstest"):
+        monkeypatch.setattr(stats, name, None)
+    monkeypatch.setattr(stats.kstwo, "sf", None)
+    d, p = _ks_two_sample(x, y)
+    assert (d, p) == (ref.statistic, ref.pvalue)
+    assert np.all(x[1:] >= x[:-1]) and np.all(y[1:] >= y[:-1])
+
+
+def test_ks_two_sample_rejects_empty_and_non_finite():
+    for x in (np.array([]), np.array([0.1, np.nan, 0.5]), np.full(KS_EXACT_MAX + 1, np.inf)):
+        with pytest.raises(ValueError):
+            _ks_two_sample(x, np.linspace(0.0, 1.0, 7))
+
+
 def test_verify_sampler_radial_checks_equal_scipy_kstest():
     seed, n = 4, 20_000
     checks = {c.name: c for c in verify_sampler(n, rng=RngStream(seed, 0)).checks}
@@ -456,3 +543,10 @@ def test_verify_sampler_radial_checks_equal_scipy_kstest():
             ref = stats.kstest(tsq, lambda t: special.betainc(k / 2.0, beta + 1.0, t))
             check = checks[f"radial_law[k={k},beta={beta}]"]
             assert check.value == ref.statistic and check.stat == ref.pvalue
+    # and the projection checks equal scipy.stats.ks_2samp
+    for k, full in ((2, 4), (3, 5)):
+        direct = sample_beta_ball(BetaBallLaw(k, (full - k) / 2.0), gen, size=n)
+        lifted = sample_beta_ball(BetaBallLaw(full, 0.0), gen, size=n)
+        ref = stats.ks_2samp(np.linalg.norm(direct, axis=1), np.linalg.norm(lifted[:, :k], axis=1))
+        check = checks[f"projection[k={k},from={full}]"]
+        assert check.value == ref.statistic and check.stat == ref.pvalue
