@@ -10,7 +10,8 @@ the outer coordinates exactly turns it into a single smooth integral
 
     I(n) = n^-(a_m+1) int_0^n (1 - t/n)^n t^{a_m} W(t/n) dt
 
-where W(u) is the elementary outer integral (closed form for m <= 3).
+where W(u) is the outer integral, for any m the divided difference of
+exp at the exponent gaps times ln(1/u)^(m-1).
 Its leading term is Gamma(a_l+1) n^-(a_l+1) (ln n)^(m-l) divided by
 (m-l)! prod_{i<l} (a_i - a_l), with l the first index tied with a_m.
 
@@ -29,62 +30,68 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import BetaParams, BlockStructure
+from .core import TIE_REL_TOL, BetaParams, BlockStructure
 from .hull import contains_points, convex_hull
 from .metacube import QuadratureError
 from .report import Check, Report
 from .sampler import as_generator, sample_block_beta
 
-TIE_TOL = 1e-12
 AW_REL_TOL = 1e-10           # relative tolerance asked of each quad block
 EFRON_PROBES = 20_000         # uniform probes per volume-ratio estimate
 
 
 def _exponents(a) -> tuple[float, ...]:
-    """The exponents of I(n) as floats, sorted descending, all positive."""
+    """The exponents of I(n) as floats, sorted descending, all finite and
+    positive."""
     a = tuple(sorted((float(x) for x in a), reverse=True))
-    if not a or a[-1] <= 0:
-        raise ValueError(f"need one or more positive exponents, got {a}")
+    if not a or not all(math.isfinite(x) for x in a) or a[-1] <= 0:
+        raise ValueError(f"need one or more finite positive exponents, got {a}")
     return a
+
+
+def _size(n) -> float:
+    """The n of I(n) as a float: finite and at least 3."""
+    n = float(n)
+    if not (math.isfinite(n) and n >= 3.0):
+        raise ValueError(f"need finite n >= 3, got n={n}")
+    return n
 
 
 def _outer_weight(a: tuple[float, ...]):
     """W(u) = integral over the outer m-1 coordinates of the region
-    {prod x_i >= u} with weights x_i^(a_i - a_m - 1); closed form."""
+    {prod x_i >= u} with weights x_i^(a_i - a_m - 1): L^(m-1) exp[z_1..z_m]
+    with L = -ln u, the divided difference of exp at z_i = (a_i - a_m) ln u
+    (McCurdy, Ng and Parlett, Math. Comp. 1984).  Nodes 1 or more apart take
+    the quotient, closer ones the series exp(c) sum_p h_p(z - c) / (p + r)!
+    about their midpoint c, h_p the complete homogeneous sums."""
+    gaps = [x - a[-1] for x in a]
     m = len(a)
-    if m == 1:
-        return lambda u: 1.0
-    if m == 2:
-        delta = a[0] - a[1]
-        if delta > TIE_TOL:
-            return lambda u: -math.expm1(delta * math.log(u)) / delta
-        return lambda u: -math.log(u)
-    if m == 3:
-        d1, d2 = a[0] - a[2], a[1] - a[2]
-        if d2 > TIE_TOL:
-            if d1 - d2 > TIE_TOL:
-                def w(u):
-                    lu = math.log(u)
-                    return (
-                        -math.expm1(d1 * lu) / d1
-                        + math.exp(d2 * lu) * math.expm1((d1 - d2) * lu) / (d1 - d2)
-                    ) / d2
-            else:
-                def w(u):
-                    lu = math.log(u)
-                    return (-math.expm1(d1 * lu) / d1 + math.exp(d1 * lu) * lu) / d1
-            return w
-        if d1 > TIE_TOL:
-            def w(u):
-                lu = math.log(u)
-                return (-lu - (-math.expm1(d1 * lu)) / d1) / d1
-            return w
-        return lambda u: 0.5 * math.log(u) ** 2
-    raise ValueError(f"deterministic evaluation supports m <= 3, got m={m}")
+    inv_fact = [1.0 / math.factorial(k) for k in range(m + 19)]
+
+    def w(u: float) -> float:
+        lu = math.log(u)
+        z = [g * lu for g in gaps]
+        f = [math.exp(x) for x in z]
+        for r in range(1, m):
+            for i in range(m - r):
+                if z[i + r] - z[i] >= 1.0:
+                    f[i] = (f[i + 1] - f[i]) / (z[i + r] - z[i])
+                    continue
+                c = 0.5 * (z[i] + z[i + r])
+                # every node lies within 1/2 of c, so |h_p| <= C(p+r, r) 2^-p
+                # and the terms past the first 20 add under 1e-24 of the first
+                h = [1.0] + [0.0] * 19
+                for x in z[i:i + r + 1]:
+                    for p in range(1, 20):
+                        h[p] += (x - c) * h[p - 1]
+                f[i] = math.exp(c) * sum(hp * inv_fact[p + r] for p, hp in enumerate(h))
+        return (-lu) ** (m - 1) * f[0]
+
+    return w
 
 
 def aw_integral_numeric(a, n: float) -> float:
-    """Deterministic evaluation of I(n) for exponents a, m = len(a) <= 3.
+    """Deterministic evaluation of I(n) for exponents a, any m = len(a).
 
     Accuracy is limited by the 1-D adaptive quadrature (relative
     tolerance AW_REL_TOL requested); the integrand is evaluated in log
@@ -92,9 +99,7 @@ def aw_integral_numeric(a, n: float) -> float:
     warns and its error estimate exceeds 100 times that tolerance.
     """
     a = _exponents(a)
-    n = float(n)
-    if n < 3.0:
-        raise ValueError(f"need n >= 3, got n={n}")
+    n = _size(n)
     w = _outer_weight(a)
     am = a[-1]
 
@@ -132,10 +137,10 @@ def aw_asymptotic(a, n: float) -> float:
     share of W(u) is the simplex volume (-ln u)^(m-l) / (m-l)!.
     """
     a = _exponents(a)
-    n = float(n)
+    n = _size(n)
     m = len(a)
     ell = m
-    while ell > 1 and a[ell - 2] - a[-1] <= TIE_TOL * max(1.0, abs(a[-1])):
+    while ell > 1 and a[ell - 2] - a[-1] <= TIE_REL_TOL * max(1.0, abs(a[-1])):
         ell -= 1
     a_l = a[ell - 1]
     denom = math.factorial(m - ell)

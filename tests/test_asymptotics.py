@@ -1,14 +1,18 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, linalg, special
 
 from blockbeta.asymptotics import (
+    AW_REL_TOL,
     InsufficientSpan,
     RateFit,
+    _outer_weight,
     aw_asymptotic,
     aw_integral_numeric,
     efron_check,
@@ -31,6 +35,11 @@ def test_aw_exponents_sort_and_validate():
             f((1.0, -1.0), n)                  # every exponent positive
         with pytest.raises(ValueError):
             f((2.0, 0.0), n)
+        for bad in (math.nan, math.inf):       # every exponent finite
+            with pytest.raises(ValueError):
+                f((bad, 1.0), n)
+            with pytest.raises(ValueError):
+                f((1.0, bad), n)
 
 
 def test_aw_m1_exact_beta_function():
@@ -105,9 +114,85 @@ def test_aw_ratio_tied_second_order():
 
 
 def test_aw_requires_reasonable_n():
-    with pytest.raises(ValueError):
-        aw_integral_numeric((1.0,), 2)
-    assert aw_integral_numeric((1.0,), 3) > 0
+    # both routes share one check: n finite and at least 3
+    for f in (aw_integral_numeric, aw_asymptotic):
+        for bad in (2, True, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                f((2.0, 1.0), bad)
+        assert f((1.0,), 3) > 0
+
+
+def _exact_aw(a, n):
+    # integer a: expand (1 - x_1...x_m)^n and integrate each monomial
+    total = sum(
+        (-1) ** k * math.comb(n, k) * math.prod(Fraction(1, ai + k + 1) for ai in a)
+        for k in range(n + 1)
+    )
+    return float(total)
+
+
+@pytest.mark.parametrize("a", [(1, 1, 1, 1), (2, 1, 1, 1), (4, 3, 2, 1), (2, 2, 1, 1)])
+@pytest.mark.parametrize("n", [10, 40])
+def test_aw_m4_against_exact_finite_n(a, n):
+    want = _exact_aw(a, n)
+    assert aw_integral_numeric(a, n) == pytest.approx(want, rel=AW_REL_TOL, abs=0)
+
+
+@st.composite
+def tied_and_nudged(draw):
+    """Exponents with one value repeated, and the index of a copy that is
+    not the last one, so that raising it widens one gap only."""
+    values = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=4))
+    tied = draw(st.sampled_from(values))
+    a = sorted(values + [tied], reverse=True)
+    return a, a.index(tied)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    tied_and_nudged(),
+    st.floats(1e-12, 1e-6),
+    st.floats(-12.0, math.log10(0.999)),
+)
+def test_outer_weight_is_continuous_across_near_ties(case, eps, log10_u):
+    # W decreases in each gap g_i and |dW/dg_i| <= L W, L = -ln u, so a
+    # gap widened by eps moves W by at most eps L relative
+    a, j = case
+    u = 10.0 ** log10_u
+    nudged = list(a)
+    nudged[j] += eps
+    w_tie = _outer_weight(tuple(a))(u)
+    w_eps = _outer_weight(tuple(sorted(nudged, reverse=True)))(u)
+    assert abs(w_eps / w_tie - 1.0) <= eps * -math.log(u) + 1e-14
+
+
+def test_outer_weight_against_matrix_exponential():
+    # W(u) = [expm(J L)]_{0,m-1}, J bidiagonal with diagonal
+    # (-g_1, ..., -g_{m-1}, 0) and ones above it: an independent route
+    gen = np.random.default_rng(14)
+    for _ in range(200):
+        m = int(gen.integers(1, 6))
+        gaps = np.cumsum(gen.uniform(0.1, 2.0, size=m - 1))[::-1]
+        a_m = gen.uniform(0.5, 3.0)
+        a = tuple(float(a_m + g) for g in gaps) + (float(a_m),)
+        u = 10.0 ** gen.uniform(-12.0, math.log10(1.0 - 1e-6))
+        L = -math.log(u)
+        J = np.diag([-float(g) for g in gaps] + [0.0]) + np.diag(np.ones(m - 1), 1)
+        want = linalg.expm(J * L)[0, m - 1]
+        assert _outer_weight(a)(u) == pytest.approx(want, rel=1e-12, abs=0), (a, u)
+
+
+def test_aw_four_cube_third_order_drift():
+    # W(u) = (-ln u)^3 / 3! makes the ratio 1 - 3 psi/L + 3 (psi^2 + psi')/L^2
+    # - (psi^3 + 3 psi psi' + psi'')/L^3 up to O(L^3/n), psi = psi(2), L = ln n
+    a = (1.0, 1.0, 1.0, 1.0)
+    psi, psi1, psi2 = special.digamma(2.0), special.polygamma(1, 2.0), special.polygamma(2, 2.0)
+    for n in (1e6, 1e9):
+        L = math.log(n)
+        drift = (1.0 - 3.0 * psi / L + 3.0 * (psi**2 + psi1) / L**2
+                 - (psi**3 + 3.0 * psi * psi1 + psi2) / L**3)
+        r = aw_integral_numeric(a, n) / aw_asymptotic(a, n)
+        assert r == pytest.approx(drift, abs=1e-4)
 
 
 @pytest.mark.parametrize("rel_err, raises", [(1e-14, False), (1e-3, True)])
