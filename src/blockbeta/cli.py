@@ -156,6 +156,10 @@ class ExperimentConfig:
         )
         if not cfg.name:
             cfg = dataclasses.replace(cfg, name="run-" + cfg.config_hash()[:12])
+        # the name is the record's directory under --out and part of plot's file names
+        unsafe = {"/", "\0", os.sep, os.altsep} - {None}
+        if cfg.name in (".", "..") or any(c in cfg.name for c in unsafe):
+            raise ConfigError(f"config name {cfg.name!r} is not a plain file name")
         return cfg
 
     def structure(self) -> BlockStructure:
@@ -544,9 +548,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     out_script = Path(args.out_script)
-    plots, dats = [], {}
+    plots, dats, named = [], {}, {}
     for record_dir in args.record:
         config, raw = load_record(record_dir)
+        # one data file per config name: a second record would overwrite it
+        if config.name in named:
+            raise ConfigError(f"records {named[config.name]} and {record_dir} both have "
+                              f"the config name {config.name!r}")
+        named[config.name] = record_dir
         ns, mean, se = _observable_rows(config, raw, "f_0").T
         exponent, log_power = _predicted_law(config, "f_0")
         dat = out_script.with_name(out_script.stem + f"_{config.name}.dat")

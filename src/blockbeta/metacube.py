@@ -346,6 +346,17 @@ def section_content_meta(cap: MetaCap, betas: Sequence[float]) -> float:
     return _outer_levels(s, consts, betas, v, outer, rest, rest, inner_val)(0.0) / float(v[solve])
 
 
+def _positive_samples(n_samples) -> int:
+    """A Monte Carlo sample count as a positive int (see core.as_int)."""
+    try:
+        n = as_int(n_samples, "n_samples")
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    return n
+
+
 def cap_content_full_mc(
     bs: BlockStructure,
     bp: BetaParams,
@@ -367,12 +378,7 @@ def cap_content_full_mc(
     or 1.125 n_samples when every block is one-dimensional, with no
     (n_samples, dim) cloud.
     """
-    try:
-        n = as_int(n_samples, "n_samples")
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    n = _positive_samples(n_samples)
     w = np.asarray(w, dtype=float)
     if w.shape != (bs.dim,):
         raise ValueError(f"expected a direction of shape ({bs.dim},), got {w.shape}")
@@ -443,6 +449,7 @@ def verify_reduction(
     refused is a failed check with NaN values, and draws no Monte Carlo
     sample.
     """
+    n_samples = _positive_samples(n_samples)
     gen = as_generator(rng)
     const = reduction_constant(bs, bp)
     metas = shifted_betas(bs, bp)

@@ -47,20 +47,22 @@ non-monotonicity and the rounding of the bounds.  The statistic and its
 exact p-value are equal bit for bit to scipy.stats.kstest.
 
 _kstwo_sf gives that p-value, scipy.stats.kstwo.sf(D, n), bit for bit.
-For n > 140 it takes the routes of Simard and L'Ecuyer's recipe ("Computing
-the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11),
-2011) as scipy 1.17's stats._ksstats._kolmogn does, ported op for op:
-the Ruben-Gambino edges nD <= 1 and nD >= n - 1, 2 smirnov(n, D) for
-D >= 1/2 or 2.2 <= nD^2 < 370, 0 from nD^2 >= 370 on, and 1 minus the
-Pelz-Good approximation below 2.2.  Only n <= 140 and the Durbin-matrix
-corner (n <= 100 000 and n D^1.5 <= 1.4) call kstwo.sf itself, which
-loads scipy.stats there.  At verify's default 200 000 samples a radial
-check (n = 200 000) never reaches the corner, and a projection check
-(n = 100 000) only at D <= 5.8e-4, to which kstwo gives probability
-2.2e-15.  The smirnov sum holds about n terms (0.2-0.3 s at n =
-200 000); it is called on an array padded to KS_GIL_FREE_LEN elements,
-which numpy loops over without the GIL, so the other verify thread runs
-meanwhile.
+It ports the two routes verify's draws reach from scipy 1.17's
+stats._ksstats._kolmogn (Simard and L'Ecuyer, "Computing the two-sided
+Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11), 2011), op for
+op: for n > 140 and nD > 1, 2 smirnov(n, D) where 2.2 <= nD^2 < 370 and
+D < 1/2, and 1 minus the Pelz-Good approximation where nD^2 < 2.2
+outside the Durbin-matrix corner (n <= 100 000 and n D^1.5 <= 1.4).
+Every other (D, n) calls kstwo.sf itself, which loads scipy.stats there:
+n <= 140, the corner, and the D that only a broken sampler gives: nD <= 1,
+a sample spread more evenly than a lattice, and D >= 1/2 or nD^2 >= 370,
+where nD^2 >= 35 and p < 1e-30.  At verify's default 200 000
+samples a radial check (n = 200 000) never reaches the corner, and a
+projection check (n = 100 000) only at D <= 5.8e-4, to which kstwo gives
+probability 2.2e-15.  The smirnov sum holds about n terms (0.2-0.3 s at
+n = 200 000); it is called on an array padded to KS_GIL_FREE_LEN
+elements, which numpy loops over without the GIL, so the other verify
+thread runs meanwhile.
 
 _ks_two_sample is scipy.stats.ks_2samp bit for bit.  Up to KS_EXACT_MAX
 points in the larger sample ks_2samp's method="auto" is exact, and it is
@@ -100,14 +102,8 @@ _PI_SQUARED = np.pi ** 2
 _PI_FOUR = np.pi ** 4
 _PI_SIX = np.pi ** 6
 _SQRT2PI = np.sqrt(2 * np.pi)
-_LOG_2PI = np.log(2 * np.pi)
 _SQRT3 = np.sqrt(3)
 _MIN_LOG = -708
-# B_2j / (2j (2j - 1)) for j = 8, ..., 1
-_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
-                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
-                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
-                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
 # from this many columns on, numpy's add.reduce sums a row pairwise
 ROW_NORM_PAIRWISE = 8
 # rows per chunk of the draw stream: 512 KiB per column
@@ -297,40 +293,22 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
 def _kstwo_sf(d, n: int) -> np.float64:
     """scipy.stats.kstwo.sf(d, n) clipped to [0, 1], bit for bit.
 
-    For n > 140 this is scipy.stats._ksstats._kolmogn(n, d, cdf=False)
-    op for op, except in its Durbin-matrix corner (n <= 100 000 and
-    n d^1.5 <= 1.4), which goes to kstwo.sf itself, as do n <= 140 and a
-    NaN d (see the module docstring).
+    The two routes verify's draws reach, 2 smirnov(n, d) and 1 minus
+    Pelz-Good, are scipy.stats._ksstats._kolmogn(n, d, cdf=False) op for
+    op; every other (d, n) goes to kstwo.sf itself (see the module
+    docstring).
     """
     n = int(n)
     x = np.asarray(d, dtype=np.float64)      # a 0-d array, as kstwo.sf hands it on
-    if n <= 140 or np.isnan(x):
-        return _scipy_kstwo_sf(d, n)
-    if x <= 0.5 / n:                         # kstwo's support is (1/(2n), 1)
-        return np.float64(1.0)
-    if x >= 1.0:
-        return np.float64(0.0)
     t = n * x
-    if t <= 1.0:                             # Ruben-Gambino
-        if t <= 0.5:
-            return np.float64(1.0)
-        prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
-        return np.clip(1.0 - prob, 0.0, 1.0)
-    if t >= n - 1:                           # Ruben-Gambino
-        return np.clip(2 * (1.0 - x) ** n, 0.0, 1.0)
-    if x >= 0.5:
-        return np.clip(_two_smirnov(n, x), 0.0, 1.0)
-    nxsquared = t * x
-    if nxsquared >= 370.0:
-        return np.float64(0.0)
-    if nxsquared >= 2.2:
-        return np.clip(_two_smirnov(n, x), 0.0, 1.0)
-    if n <= 100_000 and n * x ** 1.5 <= 1.4:
-        return _scipy_kstwo_sf(d, n)
-    return np.clip(1.0 - _pelz_good_cdf(n, x), 0.0, 1.0)
-
-
-def _scipy_kstwo_sf(d, n: int) -> np.float64:
+    # under t > 1 each route's condition rules out every branch _kolmogn
+    # tests before it; a NaN d fails every comparison
+    if n > 140 and t > 1.0:
+        nxsquared = t * x
+        if 2.2 <= nxsquared < 370.0 and x < 0.5:
+            return np.clip(_two_smirnov(n, x), 0.0, 1.0)
+        if nxsquared < 2.2 and (n > 100_000 or n * x ** 1.5 > 1.4):
+            return np.clip(1.0 - _pelz_good_cdf(n, x), 0.0, 1.0)
     return np.clip(np.asarray(scipy.stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
 
 
@@ -341,12 +319,6 @@ def _two_smirnov(n: int, x) -> np.float64:
     padded = np.ones(KS_GIL_FREE_LEN)
     padded[0] = x
     return 2 * scipy.special.smirnov(n, padded)[0]
-
-
-def _log_nfactorial_div_n_pow_n(n: int) -> np.float64:
-    # log(n! / n^n) by Stirling's series, as scipy.stats._ksstats has it
-    rn = 1.0 / n
-    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
 
 
 def _pelz_good_cdf(n: int, x) -> np.float64:
@@ -479,15 +451,11 @@ def _ks_two_sample(x, y) -> tuple[np.float64, np.float64]:
 def verify_sampler(n_samples: int, *, rng) -> Report:
     """Radial law and projection property via Kolmogorov-Smirnov.
 
-    The radial law is tested by _ks_one_sample.  It evaluates betainc at
-    every KS_BLOCK-th sorted point, and in full only in the blocks a < b
-    whose bound max((b+1)/n - F(x_a), F(x_b) - a/n) exceeds the best value
-    minus KS_SLACK, which covers betainc's ulp-level non-monotonicity and
-    the rounding of the bounds.  Its D and p are equal bit for bit to
-    scipy.stats.kstest.  The projection checks use _ks_two_sample, whose D
-    and p are equal bit for bit to scipy.stats.ks_2samp.  Above
-    KS_EXACT_MAX samples neither test loads scipy.stats, except in
-    kstwo.sf's Durbin-matrix corner.
+    The radial law is tested by _ks_one_sample, equal bit for bit to
+    scipy.stats.kstest, and the projection checks by _ks_two_sample, equal
+    bit for bit to scipy.stats.ks_2samp; the module docstring describes
+    both and the p-value routes of _kstwo_sf.  Above KS_EXACT_MAX samples
+    neither loads scipy.stats on the routes a sound sampler's draws reach.
     """
     if n_samples <= KS_EXACT_MAX:
         # ks_2samp's exact path needs it: loaded before the first cloud is

@@ -646,6 +646,13 @@ def _write(path, content):
     (["fit"], ("raw.csv", b"n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,\xff,4,,0\n")),
     (["simulate"], None),                       # a directory in place of the config file
     (["fit"], ("raw.csv", "n,rep,f_0,f_1,volume_deficit,seed_stream\n10,0,4,4,0\n")),  # a cell short
+    # a name is one directory under --out: "a/b" nests two, ".." and "." leave --out
+    (["simulate"], json.dumps({"name": "a/b", "block_dims": [2], "n_grid": [10], "reps": 1})),
+    (["simulate"], json.dumps({"name": "..", "block_dims": [2], "n_grid": [10], "reps": 1})),
+    (["simulate"], json.dumps({"name": ".", "block_dims": [2], "n_grid": [10], "reps": 1})),
+    (["simulate"], json.dumps({"name": "a\0b", "block_dims": [2], "n_grid": [10], "reps": 1})),
+    (["plot"], json.dumps({"config": {"name": "a/b", "block_dims": [1, 1],
+                                      "n_grid": [10, 32, 100, 320, 1000], "reps": 2}})),
 ])
 def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     if argv[0] == "simulate":
@@ -971,6 +978,24 @@ def test_main_plot(tmp_path, capsys):
     rows = dat.read_text().strip().split("\n")
     assert len(rows) == 3
     assert all(len(r.split()) == 3 for r in rows)
+
+
+def test_main_plot_refuses_two_records_of_one_name(tmp_path, capsys):
+    # both records wrote fig_same.dat, the second over the first, and the
+    # script plotted that one file twice
+    records = []
+    for seed in (1, 2):
+        cfg = write_config(tmp_path, name="same", n_grid=[10, 30], reps=2, root_seed=seed)
+        out = tmp_path / f"out{seed}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        records.append(str(out / "same"))
+    plots = tmp_path / "plots"
+    capsys.readouterr()
+    assert main(["plot", "--record", *records, "--out-script", str(plots / "fig.gp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+    assert all(record in err for record in records)
+    assert not plots.exists()
 
 
 def test_main_plot_rejects_abbreviated_flag(tmp_path):

@@ -537,6 +537,17 @@ def test_verify_reduction_smoke():
     assert rep.passed, "\n" + str(rep)
 
 
+@pytest.mark.parametrize("n_samples", [0, -5, 2.7, True])
+def test_verify_reduction_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
+    # 0 raised ZeroDivisionError from the cap filter's min_hits / n_samples
+    gen = RngStream(17, 0).generator()
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="positive integer"):
+        verify_reduction(BlockStructure((2, 1)), BetaParams.uniform(2), trials=2,
+                         n_samples=n_samples, rng=gen)
+    assert gen.bit_generator.state == state        # refused before the first draw
+
+
 def test_verify_reduction_fails_a_trial_with_no_admissible_cap(monkeypatch):
     # every candidate cap is refused: the trial must fail as such, not
     # z-test a Monte Carlo draw against a stale or out-of-range reference

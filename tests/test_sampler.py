@@ -251,18 +251,19 @@ def _smirnov_route(d: float, n: int) -> bool:
     return n > 140 and 1.0 < t < n - 1 and d < 0.5 and 2.2 <= t * d < 370.0
 
 
-def _durbin_corner(d: float, n: int) -> bool:
-    # scipy's test for kstwo.sf's Durbin-matrix route at n > 140, in its
-    # own arithmetic: d inside the support, nd^2 below the smirnov route
+def _pelz_good_route(d: float, n: int) -> bool:
+    # scipy's test for kstwo.sf = 1 - Pelz-Good at n > 140, in its own
+    # arithmetic: d inside the support, nd^2 below the smirnov route and
+    # outside the Durbin-matrix corner n <= 100 000, n d^1.5 <= 1.4
     x = np.asarray(d, dtype=np.float64)
     t = n * x
-    return (0.5 / n < x < 1.0 and 1.0 < t < n - 1 and x < 0.5 and t * x < 2.2
-            and n <= 100_000 and n * x ** 1.5 <= 1.4)
+    return (n > 140 and 0.5 / n < x < 1.0 and 1.0 < t < n - 1 and x < 0.5 and t * x < 2.2
+            and not (n <= 100_000 and n * x ** 1.5 <= 1.4))
 
 
 def _carried_route(d: float, n: int) -> bool:
-    # _kstwo_sf leaves kstwo.sf uncalled exactly here
-    return n > 140 and not _durbin_corner(d, n)
+    # _kstwo_sf leaves kstwo.sf uncalled exactly on its two ported routes
+    return _smirnov_route(d, n) or _pelz_good_route(d, n)
 
 
 def _pelz_good_underflows(d: float, n: int) -> bool:
@@ -290,7 +291,11 @@ def _route_edges():
         yield from zip((n, n), _first_true(lambda d, n=n: n * d >= n - 1, 0.0, 1.0))
         # the edges of kstwo's support (1/(2n), 1)
         yield from zip((n, n), _first_true(lambda d, n=n: d > 0.5 / n, 0.0, 1.0))
-        yield n, 1.0
+    # D outside kstwo's support; a negative D with n D^2 >= 2.2 would take
+    # the smirnov route without _kstwo_sf's nD > 1 guard
+    for n in (100, 141, 1000, 200_000):
+        for d in (math.nan, math.inf, -math.inf, -1.0, -0.1, 0.0, 1.0, 2.0):
+            yield n, d
     yield from zip((200_000, 200_000),
                    _first_true(lambda d: not _pelz_good_underflows(d, 200_000), 1e-6, 1e-3))
 
@@ -307,15 +312,15 @@ def test_kstwo_sf_equals_scipy_on_both_sides_of_the_smirnov_route(monkeypatch):
         got = _kstwo_sf(np.float64(d), n)
         monkeypatch.undo()
         assert type(got) is type(want) and got.tobytes() == want.tobytes(), (n, d)
-        # only n <= 140 and the Durbin-matrix corner call kstwo.sf
+        # only the two ported routes leave kstwo.sf uncalled
         assert (not calls) == _carried_route(d, n), (n, d)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(n=st.integers(141, 10 ** 6), level=st.floats(1e-4, 2.2, exclude_max=True))
 def test_kstwo_sf_equals_scipy_below_the_smirnov_route(n, level):
-    # the Pelz-Good and Ruben-Gambino routes and the Durbin-matrix corner,
-    # none of which sums n terms
+    # the Pelz-Good route, the Durbin-matrix corner and, at nd <= 1, what
+    # kstwo.sf gives: none of them sums n terms
     d = np.float64(math.sqrt(level / n))
     want = np.clip(np.asarray(stats.kstwo.sf(d, n), dtype=np.float64), 0.0, 1.0)
     got = _kstwo_sf(d, n)
