@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import TIE_REL_TOL, BetaParams, BlockStructure
+from .core import TIE_REL_TOL, BetaParams, BlockStructure, as_int
 from .hull import contains_points, convex_hull
 from .metacube import QuadratureError
 from .report import Check, Report
@@ -247,6 +247,7 @@ def efron_check(
     # hull is flat) and the volume estimator has no hull to probe
     if n < bs.dim + 2:
         raise ValueError(f"need n >= d+2 = {bs.dim + 2}, got {n}")
+    reps = as_int(reps, "reps", least=2)      # a standard error needs two
     gen = as_generator(rng)
     bp = BetaParams.uniform(bs.m)
     f0 = np.empty(reps)

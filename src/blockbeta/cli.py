@@ -133,7 +133,7 @@ class ExperimentConfig:
             bp = BetaParams(betas)
             _check_pair(bs, bp)
             n_grid = tuple(as_int(n, "n_grid") for n in raw.get("n_grid", default_n_grid()))
-            reps = as_int(raw.get("reps", 10), "reps")
+            reps = as_int(raw.get("reps", 10), "reps", least=1)
             root_seed = as_int(raw.get("root_seed", 0), "root_seed")
             observables = tuple(raw.get("observables", ["f_vector"]))
             bad = set(observables) - OBSERVABLES
@@ -143,8 +143,6 @@ class ExperimentConfig:
             raise ConfigError(f"every n must be >= d+1 = {bs.dim + 1}")
         if len(set(n_grid)) != len(n_grid):
             raise ConfigError(f"n_grid repeats a value: {list(n_grid)}")
-        if reps < 1:
-            raise ConfigError("reps must be >= 1")
         if not (0 <= root_seed < 2 ** 64):
             raise ConfigError("root_seed must fit in u64")
         if bad or not observables:
@@ -337,15 +335,16 @@ def _read_json(path):
 
 
 def _read_cell(cell: str, name: str, path, lineno: int) -> float:
-    """A raw.csv cell as a finite number, positive under a face count f_j."""
-    face = name.startswith("f_")
+    """A raw.csv cell as a finite number, positive under a face count f_j
+    and under the volume deficit of a hull inside its container."""
+    positive = name.startswith("f_") or name == "volume_deficit"
     try:
         x = float(cell)
     except ValueError:
         x = math.nan
-    if not math.isfinite(x) or (face and x <= 0):
+    if not math.isfinite(x) or (positive and x <= 0):
         raise ConfigError(f"{path} line {lineno}, column {name}: {cell!r} is not a "
-                          f"{'positive ' * face}finite number")
+                          f"{'positive ' * positive}finite number")
     return x
 
 
@@ -353,9 +352,9 @@ def load_record(record_dir) -> tuple[ExperimentConfig, np.ndarray]:
     """Read a record directory back: (config, raw rows).
 
     raw.csv must carry exactly the columns simulate writes for the config,
-    one finite number under each (a positive one under f_j; an empty
-    volume_deficit cell when the config does not record it), and one row
-    per (n, rep), in the order simulate writes them.
+    one finite number under each (a positive one under f_j and
+    volume_deficit; an empty volume_deficit cell when the config does not
+    record it), and one row per (n, rep), in the order simulate writes them.
     """
     record_dir = Path(record_dir)
     record = _read_json(record_dir / "record.json")
@@ -456,6 +455,9 @@ def _cmd_fit(args) -> int:
     config, raw = load_record(args.record)
     data = _observable_rows(config, raw, args.observable)
     data = data[data[:, 0] >= args.n_min]
+    if np.any(data[:, 0] < 3):       # n = d + 1 = 2 when d = 1
+        raise ConfigError(f"fit needs n >= 3, but the rows start at n = {data[:, 0].min():.0f}; "
+                          "pass --n-min 3 or more")
     exponent, log_power = _predicted_law(config, args.observable)
     if args.log_power != "auto":
         try:

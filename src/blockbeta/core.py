@@ -24,15 +24,25 @@ from fractions import Fraction
 TIE_REL_TOL = 1e-12
 
 
-def as_int(x, what: str) -> int:
+def as_int(x, what: str, least: int | None = None) -> int:
     """x as an int when it is an integral number (numpy integers and 1e5
-    too); a bool, a fraction or anything else raises ValueError, never
-    truncated."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return int(x)
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ValueError(f"{what} must be an integer, got {x!r}")
+    too) no smaller than least, if given; a bool, a fraction, a smaller
+    number or anything else raises ValueError, never truncated."""
+    integral = (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                or isinstance(x, float) and x.is_integer())
+    if not integral or (least is not None and int(x) < least):
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{floor}, got {x!r}")
+    return int(x)
+
+
+def beta_floats(betas) -> list[float]:
+    """The beta weights as floats, each finite and > -1; anything else
+    raises ValueError."""
+    floats = [float(b) for b in betas]
+    if not all(math.isfinite(b) and b > -1.0 for b in floats):
+        raise ValueError(f"beta weights must be finite and exceed -1, got {floats}")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -42,11 +52,9 @@ class BlockStructure:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(as_int(d, "block dimension") for d in self.dims)
+        dims = tuple(as_int(d, "block dimension", least=1) for d in self.dims)
         if len(dims) == 0:
             raise ValueError("need at least one block")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"block dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -72,10 +80,7 @@ class BetaParams:
         betas = tuple(self.betas)
         if len(betas) == 0:
             raise ValueError("need at least one weight")
-        if not all(math.isfinite(float(b)) for b in betas):
-            raise ValueError(f"beta weights must be finite, got {betas}")
-        if any(float(b) <= -1.0 for b in betas):
-            raise ValueError(f"beta weights must exceed -1, got {betas}")
+        beta_floats(betas)
         object.__setattr__(self, "betas", betas)
 
     @classmethod

@@ -44,6 +44,7 @@ from itertools import combinations
 import numpy as np
 import scipy
 
+from .core import as_int
 from .predicates import orientation
 from .report import Check, Report
 from .sampler import as_generator
@@ -367,6 +368,7 @@ def brute_force_facets(points) -> list[tuple[int, ...]]:
 def verify_hull(trials: int, *, rng) -> Report:
     """Euler relation, ridge regularity and lower face bounds on random
     Gaussian clouds in dimensions 2..6."""
+    trials = as_int(trials, "trials", least=1)
     rep = Report(title="hull combinatorics")
     gen = as_generator(rng)
     bad = 0
@@ -382,6 +384,6 @@ def verify_hull(trials: int, *, rng) -> Report:
     rep.add(Check(
         name=f"euler+ridges+face_bounds[{trials} hulls]",
         value=trials - bad, reference=trials,
-        stat_name="failures", stat=bad, passed=trials > 0 and bad == 0,
+        stat_name="failures", stat=bad, passed=bad == 0,
     ))
     return rep

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .core import BetaParams, BlockStructure, _check_pair, as_int
+from .core import BetaParams, BlockStructure, _check_pair, as_int, beta_floats
 from .report import Check, Report
 from .sampler import (
     CHUNK_ROWS,
@@ -95,10 +95,15 @@ class MetaCap:
             raise ValueError("v must be a nonempty vector")
         if np.any(v < 0):
             raise ValueError("v must have nonnegative components")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("v must be a unit vector")
+        # written so that a NaN norm fails it too
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+            raise ValueError(f"v must be a unit vector, got {v}")
+        s = float(self.s)
+        # s = +-inf is the empty or the full cap; NaN is neither
+        if math.isnan(s):
+            raise ValueError("s must not be NaN")
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", s)
 
     @property
     def m(self) -> int:
@@ -269,9 +274,7 @@ def _nonzero_components(cap: MetaCap, betas: Sequence[float]):
     weights with the components of v below ZERO_COMPONENT_TOL dropped."""
     if len(betas) != cap.m:
         raise ValueError(f"{cap.m} components but {len(betas)} beta weights")
-    betas = [float(b) for b in betas]
-    if not all(math.isfinite(b) and b > -1.0 for b in betas):
-        raise ValueError(f"beta weights must be finite and exceed -1, got {betas}")
+    betas = beta_floats(betas)
     mask = cap.v > ZERO_COMPONENT_TOL
     return cap.v[mask], [b for b, keep in zip(betas, mask) if keep]
 
@@ -346,17 +349,6 @@ def section_content_meta(cap: MetaCap, betas: Sequence[float]) -> float:
     return _outer_levels(s, consts, betas, v, outer, rest, rest, inner_val)(0.0) / float(v[solve])
 
 
-def _positive_samples(n_samples) -> int:
-    """A Monte Carlo sample count as a positive int (see core.as_int)."""
-    try:
-        n = as_int(n_samples, "n_samples")
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    return n
-
-
 def cap_content_full_mc(
     bs: BlockStructure,
     bp: BetaParams,
@@ -378,10 +370,12 @@ def cap_content_full_mc(
     or 1.125 n_samples when every block is one-dimensional, with no
     (n_samples, dim) cloud.
     """
-    n = _positive_samples(n_samples)
+    n = as_int(n_samples, "n_samples", least=1)
     w = np.asarray(w, dtype=float)
     if w.shape != (bs.dim,):
         raise ValueError(f"expected a direction of shape ({bs.dim},), got {w.shape}")
+    if not np.all(np.isfinite(w)) or math.isnan(s):
+        raise ValueError(f"need a finite direction and an s that is not NaN, got w={w}, s={s}")
     proj = np.zeros(n)
     term = np.empty(min(n, CHUNK_ROWS))
     # no BLAS: a threaded matmul leaves OpenBLAS's worker spinning on the cores verify's pool uses
@@ -449,7 +443,8 @@ def verify_reduction(
     refused is a failed check with NaN values, and draws no Monte Carlo
     sample.
     """
-    n_samples = _positive_samples(n_samples)
+    trials = as_int(trials, "trials", least=1)
+    n_samples = as_int(n_samples, "n_samples", least=1)
     gen = as_generator(rng)
     const = reduction_constant(bs, bp)
     metas = shifted_betas(bs, bp)
@@ -593,7 +588,7 @@ def verify_polyspherical(bs: BlockStructure, n_samples: int = 200_000, *, rng) -
     is drawn, and each array is dropped or overwritten once used.
     """
     gen = as_generator(rng)
-    n_samples = as_int(n_samples, "n_samples")
+    n_samples = as_int(n_samples, "n_samples", least=1)
     fns = _test_functions(bs)
     d, m = bs.dim, bs.m
 
@@ -680,7 +675,7 @@ def verify_blaschke_petkantschin_2d(n_samples: int = 400_000, *, rng) -> list[Re
     test function as soon as it is drawn.
     """
     gen = as_generator(rng)
-    n = as_int(n_samples, "n_samples")
+    n = as_int(n_samples, "n_samples", least=1)
 
     x1 = gen.uniform(-1.0, 1.0, size=(n, 2))
     x2 = gen.uniform(-1.0, 1.0, size=(n, 2))

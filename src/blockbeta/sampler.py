@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import BetaParams, BlockStructure, _check_pair, as_int
+from .core import BetaParams, BlockStructure, _check_pair, as_int, beta_floats
 from .report import Check, Report
 
 # coarse stride of _ks_one_sample, and how far below the best value a
@@ -118,13 +118,8 @@ class BetaBallLaw:
     beta: float
 
     def __post_init__(self):
-        dim = as_int(self.dim, "dimension")
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if not math.isfinite(float(self.beta)):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if float(self.beta) <= -1.0:
-            raise ValueError(f"beta must exceed -1, got {self.beta}")
+        dim = as_int(self.dim, "dimension", least=1)
+        beta_floats((self.beta,))
         object.__setattr__(self, "dim", dim)
 
 
@@ -190,15 +185,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _as_size(size) -> int:
-    """A sample count as an int (see core.as_int); never truncated, never
-    negative."""
-    n = as_int(size, "size")
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {size!r}")
-    return n
-
-
 def beta_ball_chunks(law: BetaBallLaw, rng, size: int,
                      rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
     """Yield size draws from the beta-weighted ball law in row chunks of
@@ -211,7 +197,7 @@ def beta_ball_chunks(law: BetaBallLaw, rng, size: int,
     checked here, not at the first chunk.
     """
     gen = as_generator(rng)
-    n = _as_size(size)
+    n = as_int(size, "size", least=0)
     if law.dim == 1:
         return _segment_chunks(gen, n, float(law.beta) + 1.0, rows)
     return _ball_chunks(gen, n, law.dim, float(law.beta) + 1.0, rows)
@@ -246,7 +232,7 @@ def _segment_chunks(gen, n: int, b: float, rows: int) -> Iterator[np.ndarray]:
 
 def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
     """Draw size points from the beta-weighted ball law; shape (size, dim)."""
-    n = _as_size(size)
+    n = as_int(size, "size", least=0)
     (pts,) = beta_ball_chunks(law, rng, n, rows=max(n, 1))
     return pts
 
@@ -259,7 +245,7 @@ def block_beta_chunks(bs: BlockStructure, bp: BetaParams, rng, size: int) -> Ite
     checked here, not at the first chunk.
     """
     _check_pair(bs, bp)
-    return _block_chunks(as_generator(rng), _as_size(size), bs, bp)
+    return _block_chunks(as_generator(rng), as_int(size, "size", least=0), bs, bp)
 
 
 def _block_chunks(gen, n: int, bs: BlockStructure, bp: BetaParams):
@@ -283,7 +269,7 @@ def sample_block_beta(bs: BlockStructure, bp: BetaParams, rng, size: int) -> np.
     chunks = block_beta_chunks(bs, bp, gen, size)      # checks the inputs
     if bs.m == 1:       # the one block's array is the cloud, uncopied
         return sample_beta_ball(BetaBallLaw(bs.dims[0], float(bp.betas[0])), gen, size)
-    cloud = np.empty((_as_size(size), bs.dim))
+    cloud = np.empty((as_int(size, "size", least=0), bs.dim))
     for rows, cols, chunk in chunks:
         cloud[rows, cols] = chunk
         del chunk      # else a block's last chunk pins it while the next one is drawn

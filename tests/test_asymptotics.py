@@ -195,6 +195,24 @@ def test_aw_four_cube_third_order_drift():
         assert r == pytest.approx(drift, abs=1e-4)
 
 
+def test_aw_one_gap_of_one_second_order_drift():
+    # a = (2,1,1,1): the weight's Laplace transform 1/(s^3 (s+1)) inverts to
+    # W = L^2/2 - L + 1 - u, L = -ln u (the reference cancels near u = 1),
+    # and its polynomial part makes the ratio 1 - 2 (psi + 1)/ln n
+    # + (psi^2 + psi' + 2 psi + 2)/ln^2 n up to O(1/n), psi = psi(2)
+    a = (2.0, 1.0, 1.0, 1.0)
+    weight = _outer_weight(a)
+    for u in 10.0 ** np.linspace(-12.0, math.log10(0.5), 25):
+        L = -math.log(u)
+        assert weight(u) == pytest.approx(L * L / 2.0 - L + 1.0 - u, rel=1e-14, abs=0), u
+    psi, psi1 = special.digamma(2.0), special.polygamma(1, 2.0)
+    for n in (1e6, 1e9):
+        L = math.log(n)
+        drift = 1.0 - 2.0 * (psi + 1.0) / L + (psi**2 + psi1 + 2.0 * psi + 2.0) / L**2
+        r = aw_integral_numeric(a, n) / aw_asymptotic(a, n)
+        assert r == pytest.approx(drift, abs=1e-4)
+
+
 @pytest.mark.parametrize("rel_err, raises", [(1e-14, False), (1e-3, True)])
 def test_aw_raises_when_quad_warns_with_a_large_error(monkeypatch, rel_err, raises):
     a, n = (1.0, 0.5), 1e6

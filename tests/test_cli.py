@@ -555,6 +555,21 @@ def test_main_fit_prints_local_slopes_of_a_known_power_law(tmp_path, capsys):
     assert err == "error: need >= 5 distinct n values, got 4\n"
 
 
+def test_fit_below_n_3_is_a_usage_error_that_names_n_min(tmp_path, capsys):
+    # d = 1 admits n = d + 1 = 2, below fit_rate's n >= 3; fit exited 3
+    # with fit_rate's own "need n >= 3 and positive means" there
+    cfg = write_config(tmp_path, block_dims=[1], n_grid=[2, 10, 32, 100, 320, 1000])
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    record_dir = str(tmp_path / "out" / "cli")
+    capsys.readouterr()
+    assert main(["fit", "--record", record_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: fit needs n >= 3, but the rows start at n = 2; "
+                            "pass --n-min 3 or more\n")
+    assert main(["fit", "--record", record_dir, "--n-min", "10"]) == 0
+
+
 def test_main_fit_prints_unknown_slope_errors_for_a_one_rep_record(tmp_path, capsys):
     cfg = write_config(tmp_path, block_dims=[2], n_grid=[10, 30, 100, 300, 1000], reps=1)
     out = tmp_path / "out"
@@ -689,6 +704,9 @@ def test_main_malformed_input_is_a_usage_error(tmp_path, capsys, argv, config):
     # an empty deficit is legal only where the config does not record it
     ("volume_deficit", "", ["f_vector", "volume_deficit"]),
     ("volume_deficit", "nan", ["f_vector", "volume_deficit"]),
+    # a hull inside its container leaves a deficit in (0, 1)
+    ("volume_deficit", "0", ["f_vector", "volume_deficit"]),
+    ("volume_deficit", "-0.25", ["f_vector", "volume_deficit"]),
 ])
 def test_fit_refuses_a_raw_cell_that_is_not_a_finite_count(tmp_path, capsys, column, cell,
                                                            observables):

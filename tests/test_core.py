@@ -1,16 +1,77 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from blockbeta.asymptotics import efron_check
+from blockbeta.cli import ExperimentConfig
 from blockbeta.core import (
     BetaParams,
     BlockStructure,
+    as_int,
     predict_rate,
     volume_deficit_rate,
 )
+from blockbeta.hull import verify_hull
+from blockbeta.metacube import (
+    cap_content_full_mc,
+    verify_blaschke_petkantschin_2d,
+    verify_polyspherical,
+    verify_reduction,
+)
+from blockbeta.sampler import BetaBallLaw, RngStream, sample_block_beta
+
+
+def test_as_int_takes_integral_numbers_of_at_least_least():
+    assert as_int(np.int64(3), "x") == 3 and as_int(1e5, "x", least=1) == 100_000
+    assert as_int(0, "x", least=0) == 0 and as_int(-7.0, "x") == -7
+    assert all(type(as_int(x, "x", least=2)) is int for x in (2, np.int32(2), 2.0))
+    # never truncated, never below the floor the caller names
+    for x, least in ((2.5, None), (True, None), ("3", None), (Fraction(3), None),
+                     (math.nan, None), (0, 1), (-1.0, 0), (1, 2), (False, 0)):
+        floor = "" if least is None else f" >= {least}"
+        with pytest.raises(ValueError, match=re.escape(f"x must be an integer{floor}, got {x!r}")):
+            as_int(x, "x", least)
+
+
+_BS, _BP = BlockStructure((2, 1)), BetaParams.uniform(2)
+# every public entry point that takes a count: (call, the count's name, its floor)
+COUNT_ENTRY_POINTS = {
+    "BlockStructure": (lambda x, gen: BlockStructure((2, x)), "block dimension", 1),
+    "BetaBallLaw": (lambda x, gen: BetaBallLaw(x, 0.0), "dimension", 1),
+    "config_reps": (lambda x, gen: ExperimentConfig.from_dict({"block_dims": [2], "reps": x}),
+                    "reps", 1),
+    "sample_block_beta": (lambda x, gen: sample_block_beta(_BS, _BP, gen, x), "size", 0),
+    "cap_content_full_mc": (lambda x, gen: cap_content_full_mc(
+        _BS, _BP, [1.0, 0.0, 0.0], 0.0, x, gen), "n_samples", 1),
+    "efron_check": (lambda x, gen: efron_check(_BS, 10, reps=x, rng=gen), "reps", 2),
+    "verify_hull": (lambda x, gen: verify_hull(x, rng=gen), "trials", 1),
+    "verify_reduction_trials": (lambda x, gen: verify_reduction(
+        _BS, _BP, trials=x, n_samples=1000, rng=gen), "trials", 1),
+    "verify_reduction_n_samples": (lambda x, gen: verify_reduction(
+        _BS, _BP, trials=2, n_samples=x, rng=gen), "n_samples", 1),
+    "verify_polyspherical": (lambda x, gen: verify_polyspherical(_BS, n_samples=x, rng=gen),
+                             "n_samples", 1),
+    "verify_blaschke_petkantschin_2d": (lambda x, gen: verify_blaschke_petkantschin_2d(
+        n_samples=x, rng=gen), "n_samples", 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below_floor"])
+@pytest.mark.parametrize("entry", list(COUNT_ENTRY_POINTS))
+def test_every_count_is_refused_by_the_one_rule_before_the_first_draw(entry, bad):
+    call, what, least = COUNT_ENTRY_POINTS[entry]
+    x = {"fraction": 2.5, "bool": True, "below_floor": least - 1}[bad]
+    gen = RngStream(3, 0).generator()
+    state = gen.bit_generator.state
+    message = f"{what} must be an integer >= {least}, got {x!r}"
+    # from_dict's ConfigError prefixes the rule's message
+    with pytest.raises(ValueError, match=f"^(invalid config: )?{re.escape(message)}$"):
+        call(x, gen)
+    assert gen.bit_generator.state == state
 
 
 def test_block_structure_basics():
@@ -24,7 +85,7 @@ def test_block_structure_basics():
 def test_block_structure_rejects_bad_dims():
     with pytest.raises(ValueError):
         BlockStructure(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block dimension must be an integer >= 1, got 0"):
         BlockStructure((2, 0))
     # never truncated: 2.5 is not 2, True is not 1
     for dims in ((2.5,), (2, True), (1, 1.5)):
@@ -33,8 +94,9 @@ def test_block_structure_rejects_bad_dims():
 
 
 def test_beta_params_validation():
-    with pytest.raises(ValueError):
-        BetaParams((-1,))
+    for betas in ((-1,), (0, Fraction(-3, 2)), (-1.0, 0.5)):
+        with pytest.raises(ValueError, match="beta weights must be finite and exceed -1"):
+            BetaParams(betas)
     with pytest.raises(ValueError):
         BetaParams(())
     for beta in (math.nan, math.inf, -math.inf):

@@ -536,4 +536,5 @@ def test_orientation_is_the_exact_determinant_sign(case):
 
 def test_verify_hull_fails_when_it_checks_no_hull():
     assert verify_hull(3, rng=RngStream(0, 5)).passed
-    assert not verify_hull(0, rng=RngStream(0, 5)).passed
+    with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
+        verify_hull(0, rng=RngStream(0, 5))

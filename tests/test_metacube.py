@@ -237,6 +237,35 @@ def test_caps_and_sections_refuse_a_weight_that_is_not_finite_and_above_minus_on
             content(MetaCap(np.array([0.8, 0.6]), 0.4), betas)
 
 
+_BS, _BP = BlockStructure((2, 1)), BetaParams.uniform(2)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: MetaCap(np.array([0.8, 0.6]), math.nan), "s must not be NaN"),
+    (lambda: MetaCap(np.array([math.nan, 1.0]), 0.2), "unit vector"),
+    (lambda: MetaCap(np.array([1.0, math.nan]), 0.2), "unit vector"),
+    (lambda: cap_content_full_mc(_BS, _BP, [1.0, 0.0, 0.0], math.nan, 10, RngStream(0, 0)),
+     "finite direction and an s that is not NaN"),
+    (lambda: cap_content_full_mc(_BS, _BP, [math.nan, 0.0, 1.0], 0.2, 10, RngStream(0, 0)),
+     "finite direction"),
+    (lambda: cap_content_full_mc(_BS, _BP, [0.0, math.inf, 0.0], 0.2, 10, RngStream(0, 0)),
+     "finite direction"),
+], ids=["cap_s", "cap_v0", "cap_v1", "mc_s", "mc_w_nan", "mc_w_inf"])
+def test_a_nan_offset_or_direction_is_refused(call, match):
+    # a NaN s gave NaN caps and 0.5-0.78 sections, v = (NaN, 1) read as the
+    # 1-D cap, and the Monte Carlo mass read 0.0
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_an_infinite_offset_is_the_empty_or_the_full_cap():
+    v, w = np.array([0.8, 0.6]), [0.8, 0.6, 0.0]
+    for s, want in ((math.inf, 0.0), (-math.inf, 1.0)):
+        assert cap_content_meta(MetaCap(v, s), [0.0, 0.5]) == want
+        assert section_content_meta(MetaCap(v, s), [0.0, 0.5]) == 0.0
+        assert cap_content_full_mc(_BS, _BP, w, s, 10, RngStream(0, 0)) == want
+
+
 def test_cap_corner_handles_thin_slivers():
     # direct quadrature would see ~1e-30 of cancelling mass here
     v = np.array([0.6, 0.8])
@@ -484,7 +513,7 @@ def test_halfspace_mass_rejects_a_direction_of_the_wrong_length():
 @pytest.mark.parametrize("n_samples", [0, -5, 2.7, True])
 def test_halfspace_mass_rejects_a_sample_count_that_is_not_a_positive_integer(n_samples):
     bs = BlockStructure((2, 1))
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
         cap_content_full_mc(bs, BetaParams.uniform(2), [1.0, 0.0, 0.0], 0.0, n_samples,
                             RngStream(0, 0))
     # an integral float is a count, as sample_block_beta takes it
@@ -542,7 +571,7 @@ def test_verify_reduction_rejects_a_sample_count_that_is_not_a_positive_integer(
     # 0 raised ZeroDivisionError from the cap filter's min_hits / n_samples
     gen = RngStream(17, 0).generator()
     state = gen.bit_generator.state
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
         verify_reduction(BlockStructure((2, 1)), BetaParams.uniform(2), trials=2,
                          n_samples=n_samples, rng=gen)
     assert gen.bit_generator.state == state        # refused before the first draw
