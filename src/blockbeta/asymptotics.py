@@ -245,8 +245,7 @@ def efron_check(
     """
     # at n = d+1 the identity is vacuous (f_0 = n a.s., the n-1 point
     # hull is flat) and the volume estimator has no hull to probe
-    if n < bs.dim + 2:
-        raise ValueError(f"need n >= d+2 = {bs.dim + 2}, got {n}")
+    n = as_int(n, "n", least=bs.dim + 2)
     reps = as_int(reps, "reps", least=2)      # a standard error needs two
     gen = as_generator(rng)
     bp = BetaParams.uniform(bs.m)

@@ -19,9 +19,9 @@ thread holds one replication's point cloud and hull at a time: two
 threads (1.2 GB with --workers 1, at twice the wall time), so large-n
 runs fit a desk machine at the default.
 verify runs the suites of the SUITES registry on the same WORKERS
-threads, started longest first (SUITE_START_ORDER), and prints their
-reports in registry order; each Monte Carlo suite draws from its own
-stream, named in SUITES, so the output does not depend on the schedule.
+threads, started in registry order, and prints their reports in that
+order; each Monte Carlo suite draws from its own stream, named in
+SUITES, so the output does not depend on the schedule.
 The two threads do not wait on each other: the sampler suite's KS
 p-values come from sampler._kstwo_sf, whose one slow route runs without
 the GIL and which at the default sample size needs no scipy.stats, and
@@ -209,8 +209,10 @@ def replicate(bs: BlockStructure, bp: BetaParams, n: int, root_seed: int,
 
     Returns (f_vector, volume deficit or None, stream index drawn from).
     A degenerate draw retries on stream_index + RETRY_STRIDE, up to
-    MAX_RETRIES times; any other error propagates.
+    MAX_RETRIES times; any other error propagates, and an n below d + 1
+    is refused before the first draw.
     """
+    n = as_int(n, "n", least=bs.dim + 1)
     last_exc = None
     for attempt in range(MAX_RETRIES + 1):
         stream = stream_index + attempt * RETRY_STRIDE
@@ -499,10 +501,10 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-# name -> (seed, trials, samples) -> reports; "verify --suite all" prints
-# them in this order.  Suites run on concurrent threads, so each Monte
-# Carlo suite draws from RngStream(seed, index) with its own index, named
-# only here, and shares no mutable state with another.
+# name -> (seed, trials, samples) -> reports; "verify --suite all" starts
+# and prints them in this order.  Suites run on concurrent threads, so
+# each Monte Carlo suite draws from RngStream(seed, index) with its own
+# index, named only here, and shares no mutable state with another.
 SUITES = {
     "sampler": lambda seed, trials, samples: [verify_sampler(samples, rng=RngStream(seed, 0))],
     "hull": lambda seed, trials, samples: [verify_hull(trials, rng=RngStream(seed, 5))],
@@ -525,13 +527,6 @@ SUITES = {
 }
 
 
-# the suites of SUITES, longest first at verify's defaults (sampler 0.66 s,
-# hull 0.45, reduction 0.35, efron 0.15, the rest 0.05 s or less, run
-# alone on a 2-vCPU Xeon), so the last ones to start are the short ones
-SUITE_START_ORDER = ("sampler", "hull", "reduction", "efron", "bp2d", "polyspherical",
-                     "bounds", "aw")
-
-
 def _cmd_verify(args) -> int:
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2 for a standard error, got {args.samples}")
@@ -541,8 +536,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--seed must fit in u64, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     calls = [partial(SUITES[name], args.seed, args.trials, args.samples) for name in names]
-    start = [names.index(name) for name in SUITE_START_ORDER if name in names]
-    reports = [rep for reps in run_threads(calls, start) for rep in reps]
+    reports = [rep for reps in run_threads(calls, range(len(calls))) for rep in reps]
     for rep in reports:
         print(rep)
     return 0 if all(rep.passed for rep in reports) else 1

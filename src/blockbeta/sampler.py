@@ -443,6 +443,7 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
     both and the p-value routes of _kstwo_sf.  Above KS_EXACT_MAX samples
     neither loads scipy.stats on the routes a sound sampler's draws reach.
     """
+    n_samples = as_int(n_samples, "n_samples", least=1)
     if n_samples <= KS_EXACT_MAX:
         # ks_2samp's exact path needs it: loaded before the first cloud is
         # drawn, as loading it beside the live clouds raises the peak RSS

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import example, given, settings, strategies as st
 import blockbeta.cli as cli
 from blockbeta.cli import (
     RETRY_STRIDE,
-    SUITE_START_ORDER,
     SUITES,
     BudgetExceeded,
     ConfigError,
@@ -278,6 +278,14 @@ def test_replicate_does_not_retry_other_errors(monkeypatch):
     with pytest.raises(RuntimeError, match="hull bug"):
         replicate(BlockStructure((2, 1)), BetaParams.uniform(2), 20, 5, 7)
     assert calls == [20]
+
+
+def test_replicate_refuses_n_below_d_plus_1_before_the_first_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "sample_block_beta", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 4, got 3$"):
+        replicate(BlockStructure((2, 1)), BetaParams.uniform(2), 3, 5, 7)
+    assert calls == []
 
 
 def flat_on_stream(monkeypatch, index):
@@ -871,19 +879,15 @@ def test_verify_all_runs_each_suite_in_registry_order(capsys):
     assert together == "".join(alone)
 
 
-def test_suite_start_order_is_a_permutation_of_the_registry():
-    assert sorted(SUITE_START_ORDER) == sorted(SUITES)
-
-
-def test_verify_all_starts_the_suites_in_start_order(monkeypatch, capsys):
+def test_verify_all_starts_the_suites_in_registry_order(monkeypatch):
+    started = []
     for name in SUITES:
-        monkeypatch.setitem(SUITES, name, lambda seed, trials, samples: [])
-    starts = []
-    run_threads = cli.run_threads
-    monkeypatch.setattr(cli, "run_threads",
-                        lambda calls, start: starts.append(start) or run_threads(calls, start))
+        monkeypatch.setitem(SUITES, name,
+                            lambda seed, trials, samples, name=name: started.append(name) or [])
+    # one thread, so the suites run in the order they are started
+    monkeypatch.setattr(cli, "run_threads", partial(cli.run_threads, workers=1))
     assert main(["verify", "--suite", "all"]) == 0
-    assert [list(SUITES)[i] for i in starts[0]] == list(SUITE_START_ORDER)
+    assert started == list(SUITES)
 
 
 # traced peak of each big-array suite at --samples 200000, in arrays of

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from blockbeta.asymptotics import efron_check
-from blockbeta.cli import ExperimentConfig
+from blockbeta.cli import ExperimentConfig, replicate
 from blockbeta.core import (
     BetaParams,
     BlockStructure,
@@ -22,7 +22,7 @@ from blockbeta.metacube import (
     verify_polyspherical,
     verify_reduction,
 )
-from blockbeta.sampler import BetaBallLaw, RngStream, sample_block_beta
+from blockbeta.sampler import BetaBallLaw, RngStream, sample_block_beta, verify_sampler
 
 
 def test_as_int_takes_integral_numbers_of_at_least_least():
@@ -48,6 +48,9 @@ COUNT_ENTRY_POINTS = {
     "cap_content_full_mc": (lambda x, gen: cap_content_full_mc(
         _BS, _BP, [1.0, 0.0, 0.0], 0.0, x, gen), "n_samples", 1),
     "efron_check": (lambda x, gen: efron_check(_BS, 10, reps=x, rng=gen), "reps", 2),
+    "efron_check_n": (lambda x, gen: efron_check(_BS, x, reps=2, rng=gen), "n", 5),
+    "replicate": (lambda x, gen: replicate(_BS, _BP, x, 0, 0), "n", 4),
+    "verify_sampler": (lambda x, gen: verify_sampler(x, rng=gen), "n_samples", 1),
     "verify_hull": (lambda x, gen: verify_hull(x, rng=gen), "trials", 1),
     "verify_reduction_trials": (lambda x, gen: verify_reduction(
         _BS, _BP, trials=x, n_samples=1000, rng=gen), "trials", 1),
