@@ -63,7 +63,9 @@ def _outer_weight(a: tuple[float, ...]):
     with L = -ln u, the divided difference of exp at z_i = (a_i - a_m) ln u
     (McCurdy, Ng and Parlett, Math. Comp. 1984).  Nodes 1 or more apart take
     the quotient, closer ones the series exp(c) sum_p h_p(z - c) / (p + r)!
-    about their midpoint c, h_p the complete homogeneous sums."""
+    about their midpoint c, h_p the complete homogeneous sums.  The z are
+    sorted, so equal end nodes tie every node between: the series is then
+    its first term, exp(z_i) / r!, taken without the sums."""
     gaps = [x - a[-1] for x in a]
     m = len(a)
     inv_fact = [1.0 / math.factorial(k) for k in range(m + 19)]
@@ -76,6 +78,9 @@ def _outer_weight(a: tuple[float, ...]):
             for i in range(m - r):
                 if z[i + r] - z[i] >= 1.0:
                     f[i] = (f[i + 1] - f[i]) / (z[i + r] - z[i])
+                    continue
+                if z[i + r] == z[i]:  # the series' value, as every z - c is 0
+                    f[i] = math.exp(z[i]) * inv_fact[r]
                     continue
                 c = 0.5 * (z[i] + z[i + r])
                 # every node lies within 1/2 of c, so |h_p| <= C(p+r, r) 2^-p

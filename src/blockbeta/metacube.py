@@ -364,11 +364,13 @@ def cap_content_full_mc(
     block_beta_chunks.  Each chunk's columns are added into its rows of a
     projection that starts at zero, in column order through one
     chunk-long buffer, and the chunk is dropped before the next one is
-    drawn.  So the call holds the (n_samples,) projection, one block's
-    (n_samples, d_i) array (n_samples sign bytes for d_i = 1) and a few
-    chunk-long arrays: a peak of about (1 + max d_i) n_samples doubles,
-    or 1.125 n_samples when every block is one-dimensional, with no
-    (n_samples, dim) cloud.
+    drawn.  The hits are then counted chunk by chunk, and hits / n_samples
+    is the double (proj >= s).mean() gives, for s = +-inf too.  So the
+    call holds the (n_samples,) projection, one block's (n_samples, d_i)
+    array (n_samples sign bits for d_i = 1) and a few chunk-long arrays:
+    a peak of about (1 + max d_i) n_samples doubles, or 1.016 n_samples
+    when every block is one-dimensional, with no (n_samples, dim) cloud
+    and no n_samples-byte mask.
     """
     n = as_int(n_samples, "n_samples", least=1)
     w = np.asarray(w, dtype=float)
@@ -384,7 +386,9 @@ def cap_content_full_mc(
         for x, w_j in zip(chunk.T, w[cols]):
             part += np.multiply(x, w_j, out=buf)
         del chunk, x  # either would pin this block while the next one is drawn
-    return float((proj >= s).mean())
+    # chunk by chunk, so no n-byte mask is held; hits / n is (proj >= s).mean()'s double
+    hits = sum(np.count_nonzero(proj[lo:lo + CHUNK_ROWS] >= s) for lo in range(0, n, CHUNK_ROWS))
+    return float(hits / n)
 
 
 def reduction_constant(bs: BlockStructure, bp: BetaParams) -> float:

@@ -20,15 +20,19 @@ yields a ball's draws in chunks of CHUNK_ROWS rows, normalizing each
 chunk and drawing its radii as it goes; numpy gives the same bits for a
 count drawn in one call or in consecutive chunks, so the chunk length
 changes no bit and leaves the generator where one whole draw would.  A
-one-dimensional block draws its Gaussians chunk by chunk into one reused
-buffer and keeps only their signs, one byte per point: for a nonzero
-double g, sqrt(g*g) is |g| exactly (the smallest nonzero Gaussian, about
-1e-17, is far above where g*g underflows), so g/|g| is exactly +-1 and
-the signed radius has the bits of the normalized direction times the
-radius.  A Gaussian of exactly +-0.0 gives +-radius there, where 0/0
-would give NaN.  sample_beta_ball is the one-chunk case of
-beta_ball_chunks; sample_block_beta copies block_beta_chunks' chunks
-into the cloud, and cap_content_full_mc folds them into its projection.
+one-dimensional block draws its Gaussians in CHUNK_ROWS steps into one
+reused buffer and keeps only their sign bits, packed eight to a byte:
+for a nonzero double g, sqrt(g*g) is |g| exactly (the smallest nonzero
+Gaussian, about 1e-17, is far above where g*g underflows), so g/|g| is
+exactly +-1 and the radius times the sign has the bits of the normalized
+direction times the radius.  A Gaussian of exactly +-0.0 gives +-radius
+there, where 0/0 would give NaN.  The bits are unpacked against each
+chunk's radii CHUNK_ROWS at a time, at whatever bit offset the chunk
+starts, so even a one-chunk draw of n rows holds n/8 bytes of bits and
+no n-sized array besides its result.  sample_beta_ball is the one-chunk
+case of beta_ball_chunks; sample_block_beta copies block_beta_chunks'
+chunks into the cloud, and cap_content_full_mc folds them into its
+projection.
 RngStream(s, 0) draws the same bits as np.random.default_rng(s), so a
 generator seeded directly with s would share stream 0 with whoever
 holds it: seed only through RngStream.
@@ -106,8 +110,8 @@ _SQRT3 = np.sqrt(3)
 _MIN_LOG = -708
 # from this many columns on, numpy's add.reduce sums a row pairwise
 ROW_NORM_PAIRWISE = 8
-# rows per chunk of the draw stream: 512 KiB per column
-CHUNK_ROWS = 1 << 16
+# rows per chunk of the draw stream: 128 KiB per column
+CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ def beta_ball_chunks(law: BetaBallLaw, rng, size: int,
     For dim >= 2 each chunk is a view into one (size, dim) array: the
     caller must drop it before drawing on, or it pins that whole array.
     For dim 1 each chunk is a fresh (k, 1) array and the call holds one
-    sign byte per point.  size 0 yields one empty chunk.  The size is
+    sign bit per point.  size 0 yields one empty chunk.  The size is
     checked here, not at the first chunk.
     """
     gen = as_generator(rng)
@@ -216,18 +220,33 @@ def _ball_chunks(gen, n: int, dim: int, b: float, rows: int) -> Iterator[np.ndar
 
 def _segment_chunks(gen, n: int, b: float, rows: int) -> Iterator[np.ndarray]:
     # g/|g| is exactly +-1 for every nonzero double g, so a 1-D direction
-    # is kept as one sign byte; g = +-0.0 gives +-1 where g/|g| is NaN
-    sign = np.empty(n, dtype=np.int8)
-    buf = np.empty(min(n, rows))
-    for lo in range(0, n, rows):
-        k = min(rows, n - lo)
+    # is kept as its sign bit; g = +-0.0 gives +-1 where g/|g| is NaN.  The
+    # bits are packed in CHUNK_ROWS steps, whole bytes whatever rows is
+    negative = np.empty((n + 7) >> 3, dtype=np.uint8)
+    buf = np.empty(min(n, CHUNK_ROWS))
+    for lo in range(0, n, CHUNK_ROWS):
+        k = min(CHUNK_ROWS, n - lo)
         gen.standard_normal(out=buf[:k])
-        sign[lo:lo + k] = np.copysign(1.0, buf[:k], out=buf[:k])
+        negative[lo >> 3:(lo + k + 7) >> 3] = np.packbits(np.signbit(buf[:k]))
     del buf            # not held while the radii are drawn
     for lo in range(0, max(n, 1), rows):
-        s = sign[lo:lo + rows]
-        radii = gen.beta(0.5, b, size=len(s))
-        yield np.multiply(np.sqrt(radii, out=radii), s, out=radii)[:, None]
+        radii = gen.beta(0.5, b, size=min(rows, n - lo))
+        yield _signed(np.sqrt(radii, out=radii), negative, lo)[:, None]
+        del radii      # not held while the next chunk's radii are drawn
+
+
+def _signed(root: np.ndarray, negative: np.ndarray, lo: int) -> np.ndarray:
+    """root times -1 in place where bit lo + i of negative is set, one
+    CHUNK_ROWS step at a time so a one-chunk draw unpacks no n bytes."""
+    for j in range(0, len(root), CHUNK_ROWS):
+        part = root[j:j + CHUNK_ROWS]
+        first, k = lo + j, len(part)
+        sign = np.unpackbits(negative[first >> 3:(first + k + 7) >> 3],
+                             count=(first & 7) + k)[first & 7:].view(np.int8)
+        sign *= -2
+        sign += 1      # 1 - 2 bit: an int8 +-1, with no chunk of doubles
+        part *= sign
+    return root
 
 
 def sample_beta_ball(law: BetaBallLaw, rng, size: int) -> np.ndarray:
@@ -255,7 +274,7 @@ def _block_chunks(gen, n: int, bs: BlockStructure, bp: BetaParams):
         for chunk in beta_ball_chunks(BetaBallLaw(d, float(b)), gen, n):
             yield slice(lo, lo + len(chunk)), slice(col, col + d), chunk
             lo += len(chunk)
-        del chunk      # else it pins this block while the next one is drawn
+            del chunk  # else it is held while the next chunk is drawn, and pins this block
         col += d
 
 

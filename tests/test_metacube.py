@@ -488,9 +488,9 @@ def assert_hits_equal_the_matmul_reference(dims, n):
     w = np.random.default_rng(len(dims)).standard_normal(bs.dim)
     w /= np.linalg.norm(w)
     pts = sample_block_beta(bs, bp, RngStream(11, 0), size=n)
-    for s in (-0.6, 0.0, 0.25, 0.7):
+    for s in (-math.inf, -0.6, 0.0, 0.25, 0.7, math.inf):
         p_hat = cap_content_full_mc(bs, bp, w, s, n, RngStream(11, 0))
-        assert p_hat == float((pts @ w >= s).mean())
+        assert type(p_hat) is float and p_hat == float((pts @ w >= s).mean())
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (3, 2), (4,), (1, 1, 1, 1, 1, 1)])
@@ -525,9 +525,10 @@ def test_halfspace_mass_rejects_a_sample_count_that_is_not_a_positive_integer(n_
 
 def test_halfspace_mass_never_holds_the_whole_cloud():
     # six one-dimensional blocks: the (n, 6) cloud would be 6 n doubles.
-    # The fold holds the projection, one sign byte per point of the block
-    # being drawn and a few chunk-long arrays; holding that block's (n, 1)
-    # normals would read 2 n doubles, and its directions and radii at once 4 n
+    # The fold holds the projection, one sign bit per point of the block
+    # being drawn and a few chunk-long arrays; a sign byte per point or an
+    # n-byte hit mask would add n bytes, holding that block's (n, 1) normals
+    # would read 2 n doubles, and its directions and radii at once 4 n
     bs = BlockStructure((1,) * 6)
     n = 1_000_000
     tracemalloc.start()
@@ -538,7 +539,7 @@ def test_halfspace_mass_never_holds_the_whole_cloud():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize + n
+    assert peak < (n + 4 * CHUNK_ROWS) * np.dtype(float).itemsize + n / 8
 
 
 def test_halfspace_mass_drops_each_block_before_drawing_the_next():

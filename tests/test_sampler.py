@@ -139,11 +139,14 @@ def whole_draw(law, gen, n):
     rows=st.integers(1, 1600),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-# one-dimensional balls keep their directions as signs: empty, many short
-# chunks, and radii piled up at 1
+# one-dimensional balls keep their directions as sign bits: empty, one
+# point, many short chunks, radii piled up at 1, and chunks that start and
+# end inside a byte of bits across several steps of packed bits
 @example(k=1, beta=0.5, n=0, rows=CHUNK_ROWS, seed=3)
+@example(k=1, beta=2.0, n=1, rows=1, seed=5)
 @example(k=1, beta=0.0, n=1500, rows=7, seed=11)
 @example(k=1, beta=-0.999, n=1000, rows=300, seed=29)
+@example(k=1, beta=0.5, n=2 * CHUNK_ROWS + 5, rows=CHUNK_ROWS - 3, seed=37)
 def test_chunked_draws_equal_the_whole_draw_bit_for_bit(k, beta, n, rows, seed):
     law = BetaBallLaw(k, beta)
     whole, chunked = RngStream(seed, k).generator(), RngStream(seed, k).generator()
@@ -198,9 +201,10 @@ def test_sample_block_beta_drops_each_block_before_drawing_the_next():
     assert peak < ((6 + 3) * n + 8 * CHUNK_ROWS) * np.dtype(float).itemsize
 
 
-def test_one_dim_draws_hold_a_sign_byte_per_point():
-    # the (n, 1) result and n sign bytes; normalizing a whole (n, 1) array
-    # of normals and then drawing the radii held 2n doubles
+def test_one_dim_draws_hold_a_sign_bit_per_point():
+    # the (n, 1) result, n sign bits and a few chunk-long arrays (under
+    # 512 KiB), though the draw is one n-row chunk; a sign byte per point
+    # held 9n bytes, and normalizing a whole (n, 1) array of normals 2n doubles
     n = 1_000_000
     tracemalloc.start()
     try:
@@ -209,7 +213,7 @@ def test_one_dim_draws_hold_a_sign_byte_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (np.dtype(float).itemsize + 1) * n + (1 << 20)
+    assert peak < (np.dtype(float).itemsize + 1 / 8) * n + (1 << 19)
 
 
 @pytest.mark.parametrize("size", [2.5, True, -1])
