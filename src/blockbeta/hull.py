@@ -2,6 +2,9 @@
 
 Hull construction is delegated to qhull (scipy.spatial.ConvexHull),
 which returns a triangulated facet list with unit outward normals.
+qhull starts at the plane, so a 1-D cloud gets the simplices, vertices
+and plane equations qhull would return, written out in its convention
+(normal . x + offset <= 0 inside), and both go through one assembly.
 This module owns everything around it: near-duplicate removal with an
 index map back to the caller's cloud, degeneracy detection, the face
 counts f_0..f_{d-1} recovered from the simplicial facet list, volume by
@@ -14,8 +17,8 @@ Faces are counted on 1-D integer keys.  The facet vertex ids are
 first renumbered to [0, f_0); each k-subset of a facet row is then
 packed into one int64 key in base f_0, the keys are sorted, and
 distinct faces are the positions where adjacent keys differ.  When
-f_0**k does not fit in 63 bits the k-subsets are sorted as rows with
-np.lexsort and compared row by row instead.
+f_0**k does not fit in 63 bits the k-subsets are counted as rows by
+np.unique(axis=0) instead.
 
 Dedup rounds the cloud to DEDUP_DECIMALS one column at a time and
 mixes the column bits into one uint64 hash key per point, then sorts
@@ -163,42 +166,26 @@ def convex_hull(points) -> HullResult:
         if rank < d:
             raise DegenerateInput(f"cloud has affine rank {rank} < {d}")
 
-    if d == 1:                         # qhull starts at the plane
-        lo = keep[int(np.argmin(core[:, 0]))]
-        hi = keep[int(np.argmax(core[:, 0]))]
-        return HullResult(
-            points=pts,
-            dim=1,
-            vertex_ids=tuple(sorted((int(lo), int(hi)))),
-            facet_vertices=np.array([[lo], [hi]], dtype=int),
-            normals=np.array([[-1.0], [1.0]]),
-            offsets=np.array([-float(pts[lo, 0]), float(pts[hi, 0])]),
-            interior_point=np.array([(pts[lo, 0] + pts[hi, 0]) / 2.0]),
-        )
-
-    try:
-        qh = scipy.spatial.ConvexHull(core)
-    except scipy.spatial.QhullError as exc:  # pragma: no cover - rank check catches most
-        raise DegenerateInput(f"hull construction failed: {exc}") from exc
-
-    facet_vertices = keep[qh.simplices]
-    facet_vertices = np.sort(facet_vertices, axis=1)
-    normals = qh.equations[:, :-1].copy()
-    # qhull convention: normal . x + offset <= 0 inside
-    offsets = -qh.equations[:, -1].copy()
-
-    hull_vertex_rows = qh.vertices
-    interior = core[hull_vertex_rows].mean(axis=0)
-    vertex_ids = tuple(int(i) for i in np.sort(keep[hull_vertex_rows]))
+    if d == 1:                         # qhull starts at the plane: what it would return
+        i, j = int(np.argmin(core[:, 0])), int(np.argmax(core[:, 0]))
+        simplices, vertices = np.array([[i], [j]]), np.array([i, j])
+        equations = np.array([[-1.0, core[i, 0]], [1.0, -core[j, 0]]])
+    else:
+        try:
+            qh = scipy.spatial.ConvexHull(core)
+        except scipy.spatial.QhullError as exc:  # pragma: no cover - rank check catches most
+            raise DegenerateInput(f"hull construction failed: {exc}") from exc
+        simplices, vertices, equations = qh.simplices, qh.vertices, qh.equations
 
     return HullResult(
         points=pts,
         dim=d,
-        vertex_ids=vertex_ids,
-        facet_vertices=facet_vertices,
-        normals=normals,
-        offsets=offsets,
-        interior_point=interior,
+        vertex_ids=tuple(int(k) for k in np.sort(keep[vertices])),
+        facet_vertices=np.sort(keep[simplices], axis=1),
+        normals=equations[:, :-1].copy(),
+        # qhull convention: normal . x + offset <= 0 inside
+        offsets=-equations[:, -1],
+        interior_point=core[vertices].mean(axis=0),
     )
 
 
@@ -221,20 +208,16 @@ def _subset_multiplicities(ids: np.ndarray, base: int, size: int) -> np.ndarray:
     if len(ids) == 0:
         return np.zeros(0, dtype=np.int64)
     cols = list(combinations(range(ids.shape[1]), size))
-    if base ** size < 2 ** 63:
-        keys = np.zeros((len(ids), len(cols)), dtype=np.int64)
-        for j in range(size):          # in place: keys and one column gather
-            keys *= base
-            keys += ids[:, [c[j] for c in cols]]
-        keys = keys.ravel()
-        keys.sort()
-        new = keys[1:] != keys[:-1]
-    else:                              # packed keys would overflow int64
-        rows = ids[:, cols].reshape(-1, size)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        new = np.any(rows[1:] != rows[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    return np.diff(starts, append=len(new) + 1)
+    if base ** size >= 2 ** 63:        # packed keys would overflow int64
+        return np.unique(ids[:, cols].reshape(-1, size), axis=0, return_counts=True)[1]
+    keys = np.zeros((len(ids), len(cols)), dtype=np.int64)
+    for j in range(size):              # in place: keys and one column gather
+        keys *= base
+        keys += ids[:, [c[j] for c in cols]]
+    keys = keys.ravel()
+    keys.sort()                        # in place: np.unique would copy the keys
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return np.diff(starts, append=len(keys))
 
 
 def f_vector(hull: HullResult) -> tuple[int, ...]:
@@ -247,8 +230,8 @@ def f_vector(hull: HullResult) -> tuple[int, ...]:
     k-subset of a (sorted) facet row becomes one int64 key in base f_0
     after the ids are renumbered to [0, f_0); f_{k-1} is the number of
     distinct keys, found by sorting them and counting adjacent
-    differences.  Where f_0**k >= 2**63 the subsets are sorted as rows
-    with np.lexsort and compared row by row instead.
+    differences.  Where f_0**k >= 2**63 the subsets are counted as rows
+    by np.unique(axis=0) instead.
     """
     d = hull.dim
     fv = hull.facet_vertices
@@ -300,8 +283,8 @@ def ridges_regular(hull: HullResult) -> bool:
     """Every ridge ((d-2)-face) lies in exactly two facets.
 
     The (d-1)-subsets of the facet rows are packed and sorted as in
-    f_vector (lexsort where f_0**(d-1) >= 2**63); every run of equal
-    keys must have length exactly 2.  For d = 1 the one ridge is the
+    f_vector (counted by np.unique over rows where f_0**(d-1) >= 2**63);
+    every run of equal keys must have length exactly 2.  For d = 1 the one ridge is the
     empty face, shared by the two endpoint facets.
     """
     ids, f0 = _compress(hull.facet_vertices)

@@ -459,14 +459,9 @@ def verify_sampler(n_samples: int, *, rng) -> Report:
     The radial law is tested by _ks_one_sample, equal bit for bit to
     scipy.stats.kstest, and the projection checks by _ks_two_sample, equal
     bit for bit to scipy.stats.ks_2samp; the module docstring describes
-    both and the p-value routes of _kstwo_sf.  Above KS_EXACT_MAX samples
-    neither loads scipy.stats on the routes a sound sampler's draws reach.
+    both and the p-value routes of _kstwo_sf.
     """
     n_samples = as_int(n_samples, "n_samples", least=1)
-    if n_samples <= KS_EXACT_MAX:
-        # ks_2samp's exact path needs it: loaded before the first cloud is
-        # drawn, as loading it beside the live clouds raises the peak RSS
-        scipy.stats
     rep = Report(title="sampler laws")
     gen = as_generator(rng)
     for k in (1, 2, 3, 4):

@@ -338,3 +338,40 @@ def test_primary_10_determinism(tmp_path):
     b2 = (out2 / "raw.csv").read_bytes()
     _verdict("PRIMARY-10", b1 == b2, "raw.csv identical for 1 and 2 workers")
     assert b1 == b2
+
+
+# ---------------------------------------------------------------------------
+# 11. exact mean vertex counts at n = d + 2
+
+
+REPS_11 = 5000
+
+
+def test_primary_11_exact_means_at_d_plus_2():
+    # n = d + 2 uniform points span a simplex exactly when one falls in the
+    # simplex of the others, so E f_0 = (d + 2)(1 - S) with S Sylvester's
+    # constant of the container, the mean simplex volume over its volume.
+    # Seed, reps and band were fixed before the first run.
+    containers = [
+        ((1, 1), 11 / 144),                                    # square
+        ((2,), 35 / (48 * math.pi ** 2)),                      # disk
+        ((1, 1, 1), 3977 / 216000 - math.pi ** 2 / 2160),      # 3-cube (Zinani 2003)
+        ((3,), 9 / 715),                                       # 3-ball (Kingman 1969)
+    ]
+    misses = []
+    for ci, (dims, sylvester) in enumerate(containers):
+        bs = BlockStructure(dims)
+        n = bs.dim + 2
+        results = replicate_rows(bs, BetaParams.uniform(bs.m), [n] * REPS_11, 1111,
+                                 first_stream=ci * REPS_11)
+        f0 = np.asarray([fv[0] for fv, _, _ in results], dtype=float)
+        exact = n * (1 - sylvester)
+        z = (f0.mean() - exact) / (f0.std(ddof=1) / math.sqrt(REPS_11))
+        ok = abs(z) <= 4
+        print(f"  {dims}: mean f0 {f0.mean():.5f} against exact {exact:.5f}, "
+              f"z = {z:+.2f}: {'ok' if ok else 'MISS'}")
+        if not ok:
+            misses.append((dims, f0.mean(), exact, z))
+    _verdict("PRIMARY-11", not misses,
+             f"mean f0 at n = d + 2 within 4 sigma of (d + 2)(1 - S), {REPS_11} reps each")
+    assert not misses, f"mean f0 at n = d + 2 off its exact value: {misses}"

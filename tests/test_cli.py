@@ -382,24 +382,6 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.endswith("\n[]\n")
 
 
-def test_verify_sampler_loads_scipy_stats_before_its_first_cloud():
-    # loaded later, at the first p-value, it would load beside the live
-    # clouds and raise verify's peak RSS
-    script = (
-        "import sys, blockbeta.cli, blockbeta.sampler as sampler\n"
-        "draw, seen = sampler.sample_beta_ball, []\n"
-        "def spy(*args, **kwargs):\n"
-        "    seen.append('scipy.stats' in sys.modules)\n"
-        "    return draw(*args, **kwargs)\n"
-        "sampler.sample_beta_ball = spy\n"
-        "blockbeta.cli.main(['verify', '--suite', 'sampler', '--samples', '200'])\n"
-        "print(seen[0])\n"
-    )
-    out = _fresh_python("-c", script)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.endswith("\nTrue\n")
-
-
 def test_verify_all_at_its_defaults_leaves_scipy_stats_unloaded():
     # past KS_EXACT_MAX samples the KS p-values need scipy.stats only in
     # kstwo.sf's Durbin-matrix corner, which the default seed does not reach

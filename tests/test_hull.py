@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import blockbeta.hull as hull_module
 from blockbeta.hull import (
@@ -434,16 +434,34 @@ def test_brute_force_simplex():
     }
 
 
-def test_one_dimensional_hull():
-    pts = np.array([[0.3], [-0.5], [0.9], [0.9], [0.1]])
+# 1-D clouds: values on a grid of steps scale, drawn with repeats from a
+# small pool that may hold -0.0; probes sit on the half-steps, off every point
+one_dim_values = st.lists(st.integers(-50, 50).map(float) | st.just(-0.0),
+                          min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=25))
+
+
+@settings(max_examples=150, deadline=None)
+@example(values=[0.3, -0.5, 0.9, 0.9, 0.1], scale=1.0, probes=[0.0, -0.5, 0.9, -0.6, 1.0])
+@given(values=one_dim_values, scale=st.sampled_from([1e-3, 1.0, 1e2]),
+       probes=st.lists(st.integers(-120, 120).map(lambda k: k + 0.5), max_size=10))
+def test_one_dimensional_hull(values, scale, probes):
+    pts = np.array(values).reshape(-1, 1) * scale
+    if len(set(pts[:, 0])) < 2:           # -0.0 == 0.0: one distinct point
+        with pytest.raises(DegenerateInput):
+            convex_hull(pts)
+        return
     hull = convex_hull(pts)
-    assert hull.vertex_ids == (1, 2)
+    lo, hi = pts.min(), pts.max()
+    facets = brute_force_facets(pts)
+    assert sorted(map(tuple, hull.facet_vertices.tolist())) == facets
+    assert hull.vertex_ids == tuple(i for (i,) in facets)
+    assert np.all(pts @ hull.normals.T <= hull.offsets + CONTAINS_TOL)
+    assert volume(hull) == pytest.approx(hi - lo, rel=1e-15)
     assert f_vector(hull) == (2,)
-    assert volume(hull) == pytest.approx(1.4, rel=1e-15)
     assert ridges_regular(hull)
-    probes = np.array([[0.0], [-0.5], [0.9], [-0.6], [1.0]])
-    assert contains_points(hull, probes).tolist() == [True, True, True, False, False]
-    assert brute_force_facets(pts) == [(1,), (2,)]
+    xs = np.vstack([np.array(probes).reshape(-1, 1) * scale, [[lo], [hi]]])
+    assert contains_points(hull, xs).tolist() == ((lo <= xs) & (xs <= hi)).ravel().tolist()
 
 
 def test_brute_force_size_cap():
